@@ -91,6 +91,21 @@ class Design:
         """Boolean array indexed [y][x] over one period (True = warp up)."""
         return np.array([[ch == WARP_CHAR for ch in row] for row in self.rows], dtype=bool)
 
+    def minimal(self) -> "Design":
+        """The same fabric on its minimal period rectangle.
+
+        Its width is the least p dividing the width for which shifting by
+        p columns maps every row to itself (the lcm of the rows' own
+        periods), and likewise for its height.  Returns ``self`` when the
+        design is already minimal.
+        """
+        a = self.to_array()
+        w = _least_period(a.T)
+        h = _least_period(a)
+        if w == self.width and h == self.height:
+            return self
+        return Design(w, h, tuple(row[:w] for row in self.rows[:h]))
+
     # -- derived properties ---------------------------------------------
 
     @property
@@ -132,6 +147,12 @@ class Design:
                 ):
                     return True
         return False
+
+
+def _least_period(a: np.ndarray) -> int:
+    """Least p dividing ``len(a)`` with ``a`` periodic under a shift by p."""
+    n = len(a)
+    return next(p for p in range(1, n + 1) if n % p == 0 and (a[p:] == a[:-p]).all())
 
 
 def _min_cyclic_period(s: str) -> int:

@@ -10,6 +10,15 @@ values mean a side-reversing symmetry and complemented values a
 side-preserving one; for a direction-preserving point part it is the other
 way round.
 
+The search works on the design's minimal period rectangle w x h, not on
+a square: a direction-swapping symmetry would turn the period (w, 0) into
+(0, +-w), so it can exist only when w = h, and the four swapping point
+parts are skipped otherwise.  Cells become +1 (warp up) and -1 (weft up),
+and one batched FFT correlates the design with its pre-images under the
+point parts: a correlation of +wh at a shift means every raised value is
+kept, -wh means every one is complemented.  The reported ``period`` is
+still the lcm of the sides of the rectangle the design was given on.
+
 The group is stored as a translation lattice plus finitely many coset
 representatives.  ``axis_inventory`` expands that into the geometric
 inventory: one entry per translation-class of mirror axes, glide axes and
@@ -203,58 +212,64 @@ class SymmetryGroup:
 
 _POINT_ORDER = {p: i for i, p in enumerate(PointPart)}
 
-#: Image cell of (x, y) under each point part (before any shift), as
-#: functions of index grids: derived from the doubled-coordinate matrices.
-_CELL_MAPS = {
-    PointPart.IDENTITY: lambda xs, ys: (xs, ys),
-    PointPart.ROT90: lambda xs, ys: (-ys - 1, xs),
-    PointPart.ROT180: lambda xs, ys: (-xs - 1, -ys - 1),
-    PointPart.ROT270: lambda xs, ys: (ys, -xs - 1),
-    PointPart.MIRROR_H: lambda xs, ys: (xs, -ys - 1),
-    PointPart.MIRROR_V: lambda xs, ys: (-xs - 1, ys),
-    PointPart.MIRROR_D: lambda xs, ys: (ys, xs),
-    PointPart.MIRROR_A: lambda xs, ys: (-ys - 1, -xs - 1),
-}
-
 
 @lru_cache(maxsize=None)
 def find_symmetries(design: Design) -> SymmetryGroup:
-    """All isometries mapping the design to itself, with side flags."""
-    L = math.lcm(design.width, design.height)
-    tile = np.tile(design.to_array(), (L // design.height, L // design.width))
-    ys, xs = np.indices((L, L))
-    preserving: list[tuple[int, int]] = [(L, 0), (0, L)]
-    found: dict[tuple[PointPart, Side], list[tuple[int, int]]] = {}
-    for point, cell_map in _CELL_MAPS.items():
-        gx, gy = cell_map(xs, ys)
-        gx %= L
-        gy %= L
-        swaps = point.swaps_directions
-        for ty in range(L):
-            iy = (gy + ty) % L
-            for tx in range(L):
-                image = tile[iy, (gx + tx) % L]
-                if (image == tile).all():
-                    side = Side.REVERSING if swaps else Side.PRESERVING
-                elif (image != tile).all():
-                    side = Side.PRESERVING if swaps else Side.REVERSING
-                else:
-                    continue
-                if point == PointPart.IDENTITY and side == Side.PRESERVING:
-                    preserving.append((tx, ty))
-                else:
-                    found.setdefault((point, side), []).append((tx, ty))
-    lattice = Lattice.from_vectors(preserving)
+    """All isometries mapping the design to itself, with side flags.
+
+    The search runs on the minimal period rectangle w x h, a torus on
+    which (w, 0) and (0, h) are periods.  Direction-swapping point parts
+    are tried only when w = h: such a map sends the period (w, 0) to
+    (0, +-w) and (0, h) to (+-h, 0), so h divides w and w divides h.
+
+    With cells encoded as +1 (warp up) and -1 (weft up), the circular
+    cross-correlation of the design with its pre-image under a point part
+    g is, at shift t, the sum over cells c of s(g(c) + t) * s(c).  It
+    equals +wh exactly when the map c -> g(c) + t leaves every raised
+    value equal, and -wh exactly when it complements every one.  One
+    batched FFT gives these sums for every point part and every shift.
+
+    The equal-valued pure translations generate the translation lattice.
+    For any other point part and side, the matching shifts form one coset
+    of that lattice, so one shift, reduced, is its representative.
+
+    ``period`` stays the lcm of the *given* rectangle's sides: it is the
+    window ``is_isonemal`` counts strand classes in, and reports print it.
+    """
+    d = design.minimal()
+    w, h = d.width, d.height
+    points = [p for p in PointPart if w == h or not p.swaps_directions]
+    signs = np.where(d.to_array(), 1.0, -1.0)
+    # point part M sends cell (x, y) to (M (2x + 1, 2y + 1) - 1) // 2; the
+    # pre-image k holds s(c) at the image of c, that is s(g^-1(u)) at u
+    ys, xs = np.indices((h, w)).reshape(2, -1)
+    matrices = np.array([p.matrix for p in points])
+    gx, gy = ((matrices @ [2 * xs + 1, 2 * ys + 1] - 1) // 2).swapaxes(0, 1)
+    preimages = np.empty((len(points), h * w))
+    preimages[np.arange(len(points))[:, None], gy % h * w + gx % w] = signs.ravel()
+    corr = np.fft.ifft2(np.fft.fft2(signs) * np.fft.fft2(preimages.reshape(-1, h, w)).conj()).real
+    # matches[0]: shifts keeping every raised value; matches[1]: complementing every one
+    matches = np.stack([corr > w * h - 0.5, corr < 0.5 - w * h]).reshape(2, len(points), h * w)
+    ty, tx = np.divmod(np.flatnonzero(matches[0, 0]), w)
+    lattice = Lattice.from_vectors([(w, 0), (0, h), *zip(tx.tolist(), ty.tolist())])
     reps = [Isometry(PointPart.IDENTITY, (0, 0), Side.PRESERVING)]
-    extended = preserving
-    for (point, side), shifts in found.items():
-        for t in sorted({lattice.reduce(t) for t in shifts}):
-            reps.append(Isometry(point, (2 * t[0], 2 * t[1]), side))
-            if point == PointPart.IDENTITY:
-                extended = extended + [t]
+    extended = [lattice.v1, lattice.v2]
+    # any other point part and side matches on one coset of the lattice:
+    # its first matching shift, reduced, stands for all of them
+    first = matches.argmax(axis=2).tolist()
+    for complemented, k in np.argwhere(matches.any(axis=2)).tolist():
+        point = points[k]
+        side = Side.PRESERVING if complemented == point.swaps_directions else Side.REVERSING
+        if point == PointPart.IDENTITY and side == Side.PRESERVING:
+            continue
+        ty, tx = divmod(first[complemented][k], w)
+        t = lattice.reduce((tx, ty))
+        reps.append(Isometry(point, (2 * t[0], 2 * t[1]), side))
+        if point == PointPart.IDENTITY:
+            extended.append(t)
     reps.sort(key=lambda g: (_POINT_ORDER[g.point], g.side.value, g.shift[1], g.shift[0]))
     return SymmetryGroup(
-        period=L,
+        period=math.lcm(design.width, design.height),
         translations=lattice,
         extended_translations=Lattice.from_vectors(extended),
         reps=tuple(reps),

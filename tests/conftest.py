@@ -17,36 +17,18 @@
 from __future__ import annotations
 
 import itertools
-import math
 import random
 
 import numpy as np
 import pytest
 
-from isoweave.design import Design, _min_cyclic_period, permutation_design, twill
+from isoweave.design import Design, permutation_design, twill
 from isoweave.symmetry import is_isonemal
-
-
-def _column(design: Design, x: int) -> str:
-    return "".join(row[x] for row in design.rows)
-
-
-def reduced(design: Design) -> Design:
-    """The same fabric on its minimal period rectangle."""
-    pw = 1
-    for row in design.rows:
-        pw = math.lcm(pw, _min_cyclic_period(row))
-    ph = 1
-    for x in range(design.width):
-        ph = math.lcm(ph, _min_cyclic_period(_column(design, x)))
-    if pw == design.width and ph == design.height:
-        return design
-    return Design(pw, ph, tuple(row[:pw] for row in design.rows[:ph]))
 
 
 def canonical_key(design: Design) -> tuple:
     """A key equal for two designs iff they agree up to translation."""
-    d = reduced(design)
+    d = design.minimal()
     best = None
     for dy in range(d.height):
         cyc = d.rows[dy:] + d.rows[:dy]
@@ -141,7 +123,7 @@ def enumerated_designs() -> list[Design]:
     by_key: dict[tuple, Design] = {}
 
     def add(design: Design) -> None:
-        d = reduced(design)
+        d = design.minimal()
         if d.order > 6:
             return
         by_key.setdefault(canonical_key(d), d)

@@ -1,11 +1,13 @@
 """Shared test oracles, independent of the library's own group machinery."""
 
+import math
 import random
 
 import numpy as np
 
 from isoweave.design import Cell, Design
-from isoweave.isometry import Isometry, Side, act_on_cell
+from isoweave.isometry import Isometry, PointPart, Side, act_on_cell
+from isoweave.symmetry import _POINT_ORDER, Lattice, SymmetryGroup
 
 
 def pointwise_symmetry_check(design: Design, iso: Isometry) -> bool:
@@ -60,3 +62,71 @@ def lifts_off_by_subsets(design: Design) -> bool:
     required = subsets @ over
     closed = ~((required > 0) & (subsets == 0)).any(axis=1)
     return bool(closed.any())
+
+
+#: Image cell of (x, y) under each point part (before any shift), as
+#: functions of index grids, written out by hand rather than read from
+#: ``PointPart.matrix`` so the reference shares no geometry with the library.
+_CELL_MAPS = {
+    PointPart.IDENTITY: lambda xs, ys: (xs, ys),
+    PointPart.ROT90: lambda xs, ys: (-ys - 1, xs),
+    PointPart.ROT180: lambda xs, ys: (-xs - 1, -ys - 1),
+    PointPart.ROT270: lambda xs, ys: (ys, -xs - 1),
+    PointPart.MIRROR_H: lambda xs, ys: (xs, -ys - 1),
+    PointPart.MIRROR_V: lambda xs, ys: (-xs - 1, ys),
+    PointPart.MIRROR_D: lambda xs, ys: (ys, xs),
+    PointPart.MIRROR_A: lambda xs, ys: (-ys - 1, -xs - 1),
+}
+
+
+def lcm_square_symmetries(design: Design) -> SymmetryGroup:
+    """Reference symmetry search, sharing no search code with the library:
+    tile the design to an L x L square, L = lcm(w, h), and compare the
+    whole square with its image under every point part (hand-written cell
+    maps) and every shift.  Tests compare ``find_symmetries`` with it."""
+    L = math.lcm(design.width, design.height)
+    tile = np.tile(design.to_array(), (L // design.height, L // design.width))
+    ys, xs = np.indices((L, L))
+    gx, gy = np.array([cell_map(xs, ys) for cell_map in _CELL_MAPS.values()]).swapaxes(0, 1)
+    steps = np.arange(L)
+    # cell (x, y) of the image under point part k and shift (tx, ty) is
+    # tile[iy[k, ty, 0, y, x], ix[k, 0, tx, y, x]]
+    iy = (gy[:, None, None] + steps[:, None, None, None]) % L
+    ix = (gx[:, None, None] + steps[:, None, None]) % L
+    # screen every map on the bottom row, then compare survivors in full
+    row = tile[iy[..., :1, :], ix[..., :1, :]]
+    ks, tys, txs = np.nonzero((row == tile[0]).all(axis=(3, 4)) | (row != tile[0]).all(axis=(3, 4)))
+    images = tile[iy[ks, tys, 0], ix[ks, 0, txs]]
+    equal = (images == tile).all(axis=(1, 2))
+    complemented = (images != tile).all(axis=(1, 2))
+    points = list(_CELL_MAPS)
+    preserving: list[tuple[int, int]] = [(L, 0), (0, L)]
+    found: dict[tuple[PointPart, Side], list[tuple[int, int]]] = {}
+    for k, ty, tx, eq, comp in zip(ks, tys, txs, equal, complemented):
+        if not (eq or comp):
+            continue
+        point = points[k]
+        swaps = point.swaps_directions
+        if eq:
+            side = Side.REVERSING if swaps else Side.PRESERVING
+        else:
+            side = Side.PRESERVING if swaps else Side.REVERSING
+        if point == PointPart.IDENTITY and side == Side.PRESERVING:
+            preserving.append((int(tx), int(ty)))
+        else:
+            found.setdefault((point, side), []).append((int(tx), int(ty)))
+    lattice = Lattice.from_vectors(preserving)
+    reps = [Isometry(PointPart.IDENTITY, (0, 0), Side.PRESERVING)]
+    extended = preserving
+    for (point, side), shifts in found.items():
+        for t in sorted({lattice.reduce(t) for t in shifts}):
+            reps.append(Isometry(point, (2 * t[0], 2 * t[1]), side))
+            if point == PointPart.IDENTITY:
+                extended = extended + [t]
+    reps.sort(key=lambda g: (_POINT_ORDER[g.point], g.side.value, g.shift[1], g.shift[0]))
+    return SymmetryGroup(
+        period=L,
+        translations=lattice,
+        extended_translations=Lattice.from_vectors(extended),
+        reps=tuple(reps),
+    )

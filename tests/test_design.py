@@ -151,6 +151,26 @@ def test_order_is_least_strand_period():
     assert big.order == 2
 
 
+def test_minimal_is_the_least_period_rectangle():
+    plain = plain_weave()
+    assert plain.minimal() is plain
+    assert Design(4, 4, ("#.#.", ".#.#") * 2).minimal() == plain_weave()
+    assert Design(6, 1, ("#.##.#",)).minimal() == Design(3, 1, ("#.#",))
+    assert Design(4, 2, ("#.#.", "##..")).minimal() == Design(4, 2, ("#.#.", "##.."))
+    rng = random.Random(12)
+    for _ in range(100):
+        d = random_design(rng)
+        m = d.minimal()
+        kx, ky = d.width // m.width, d.height // m.height
+        assert (m.width * kx, m.height * ky) == (d.width, d.height)
+        assert Design(d.width, d.height, tuple(row * kx for row in m.rows) * ky) == d
+        for p in range(1, m.width):
+            assert m.width % p or m.translated(p, 0) != m
+        for p in range(1, m.height):
+            assert m.height % p or m.translated(0, p) != m
+        assert m.minimal() is m
+
+
 # -- reverse and permutation designs ------------------------------------
 
 

@@ -1,6 +1,9 @@
 """Tests for the SVG renderer: determinism, fills, faces, overlays."""
 
 import re
+import runpy
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -114,3 +117,14 @@ def test_reverse_colouring_keeps_thread_colours():
     d = twill("2/1")
     back = render_colouring(d, THREE, RenderOptions(side=Face.REVERSE))
     assert _fills(back) == _fills(render_colouring(reverse(d), THREE))
+
+
+def test_gallery_demo_reproduces_the_tracked_svgs(tmp_path):
+    demos = Path(__file__).resolve().parent.parent / "demos"
+    script = tmp_path / "04_svg_gallery.py"
+    shutil.copy(demos / "04_svg_gallery.py", script)
+    runpy.run_path(str(script), run_name="__main__")
+    written = sorted((tmp_path / "output").glob("*.svg"))
+    assert [p.name for p in written] == sorted(p.name for p in (demos / "output").glob("*.svg"))
+    for path in written:
+        assert path.read_bytes() == (demos / "output" / path.name).read_bytes(), path.name

@@ -6,13 +6,17 @@ inventories for the reference twills were derived by hand from the strand
 run structure before being pinned here.
 """
 
+import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import pointwise_symmetry_check, random_design
+from helpers import lcm_square_symmetries, pointwise_symmetry_check, random_design
 from isoweave.design import Design, permutation_design, plain_weave, twill
 from isoweave.isometry import Isometry, PointPart, Side, compose, invert, translation
 from isoweave.symmetry import (
@@ -96,6 +100,58 @@ def test_group_elements_satisfy_the_transport_rule():
                 )
                 g = compose(translation(*lam), rep)
                 assert pointwise_symmetry_check(d, g), f"{d} {g}"
+
+
+def tiled(d: Design, kx: int, ky: int) -> Design:
+    """The same fabric stored on a kx-by-ky block of copies of its period."""
+    return Design(d.width * kx, d.height * ky, tuple(row * kx for row in d.rows) * ky)
+
+
+def test_find_symmetries_matches_the_lcm_square_reference(enumerated_designs, isonemal_pool):
+    rng = random.Random(1408)
+    randoms = [random_design(rng, 7) for _ in range(300)]
+    reference = {}
+    for d in enumerated_designs + isonemal_pool + randoms:
+        reference[d] = lcm_square_symmetries(d)
+        assert find_symmetries(d) == reference[d], d
+    # A tiled copy is the same fabric, so its group differs only in the
+    # period, the lcm of the sides as given.  Where the reference can
+    # afford the tiled square, it confirms that directly.
+    for d in randoms:
+        for kx, ky in ((2, 1), (1, 3), (2, 2)):
+            t = tiled(d, kx, ky)
+            expected = replace(reference[d], period=math.lcm(t.width, t.height))
+            assert find_symmetries(t) == expected, t
+            if expected.period <= 12:
+                assert lcm_square_symmetries(t) == expected, t
+
+
+_grids = st.integers(1, 8).flatmap(
+    lambda w: st.lists(st.text("#.", min_size=w, max_size=w), min_size=1, max_size=8)
+).map(lambda rows: Design(len(rows[0]), len(rows), tuple(rows)))
+_permutation_designs = st.integers(1, 8).flatmap(lambda n: st.permutations(range(n))).map(
+    lambda perm: permutation_design(tuple(perm))
+)
+_twills = st.integers(1, 2).flatmap(
+    lambda k: st.lists(st.integers(1, 2), min_size=2 * k, max_size=2 * k)
+).map(lambda runs: twill(tuple(runs)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(
+    st.one_of(_grids, _permutation_designs, _twills),
+    st.sampled_from([(1, 1), (2, 1), (1, 2), (2, 2)]),
+)
+def test_group_properties_hold_on_generated_designs(base, tiling):
+    d = tiled(base, *tiling)
+    group = find_symmetries(d)
+    for rep in group.reps:
+        assert pointwise_symmetry_check(d, rep), rep
+    for v in (group.translations.v1, group.translations.v2):
+        assert d.translated(*v) == d, v
+    for g in group.reps:
+        for h in group.reps:
+            assert group.contains(compose(g, h)), (g, h)
 
 
 def test_group_is_closed_under_composition_and_inverse():
