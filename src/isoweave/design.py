@@ -84,9 +84,6 @@ class Design:
         """True iff the warp is uppermost at cell (x, y), any integers."""
         return self.rows[y % self.height][x % self.width] == WARP_CHAR
 
-    def warp_up_cell(self, c: Cell) -> bool:
-        return self.warp_up(c.x, c.y)
-
     def to_array(self) -> np.ndarray:
         """Boolean array indexed [y][x] over one period (True = warp up)."""
         return np.array([[ch == WARP_CHAR for ch in row] for row in self.rows], dtype=bool)

@@ -220,7 +220,7 @@ class IsoClass:
     mirror_position: bool | None = None
 
 
-def _centre_kind(doubled_x: Fraction, doubled_y: Fraction) -> str | None:
+def _centre_kind(doubled_x: Fraction | int, doubled_y: Fraction | int) -> str | None:
     if doubled_x.denominator != 1 or doubled_y.denominator != 1:
         return None
     ox, oy = doubled_x.numerator % 2, doubled_y.numerator % 2

@@ -11,7 +11,11 @@ Overlays mark the reflection axes (solid for mirrors, dashed for glide
 axes), rotation centres (a diamond for half turns, a square for quarter
 turns), and optionally one translation-lattice unit cell.  Overlay ink
 is black for symmetries of the weave itself and red for those carrying
-the front onto the back.
+the front onto the back.  Both axes and centres are drawn from the
+design's axis inventory: each entry is one class of parallel axes or of
+centres modulo the translation lattice, and the figure draws the class
+members that fall in the window, so the work follows the number of
+lines and markers drawn rather than the area of the window.
 
 The back face is rendered by flipping the figure of the reversed design
 left to right, which is what turning a fabric over does.  All output is
@@ -29,8 +33,15 @@ from typing import Callable, Iterator
 
 from isoweave.colouring import Striping
 from isoweave.design import Design, reverse
-from isoweave.isometry import Isometry, PointPart, Side
-from isoweave.symmetry import AxisInventory, axis_inventory, find_symmetries, lattice_units
+from isoweave.isometry import Side
+from isoweave.symmetry import (
+    AxisInventory,
+    CentreEntry,
+    Lattice,
+    axis_inventory,
+    find_symmetries,
+    lattice_units,
+)
 
 __all__ = [
     "DEFAULT_PALETTE",
@@ -165,8 +176,10 @@ def _figure(
     if options.show_lattice_unit:
         parts.extend(_lattice_outline(shown, win_h, px))
     if options.show_axes:
-        parts.extend(_axis_overlay(axis_inventory(shown), win_w, win_h, px))
-        parts.extend(_centre_overlay(shown, win_w, win_h, px))
+        inventory = axis_inventory(shown)
+        lattice = find_symmetries(shown).translations
+        parts.extend(_axis_overlay(inventory, win_w, win_h, px))
+        parts.extend(_centre_overlay(inventory, lattice, win_w, win_h, px))
 
     if options.side is Face.REVERSE:
         parts.append("</g>")
@@ -231,38 +244,46 @@ def _axis_overlay(
             yield _line(p1, p2, win_h, px, ink, dashed)
 
 
-def _centre_overlay(shown: Design, win_w: int, win_h: int, px: int) -> Iterator[str]:
-    """Markers at every rotation centre in the window: the quarter-turn
-    and half-turn maps about each half-integer point are tested for
-    membership in the symmetry group directly."""
-    group = find_symmetries(shown)
-    for b in range(2 * win_h, -1, -1):
-        for a in range(2 * win_w + 1):
-            quarter = half = None
-            for side in (Side.PRESERVING, Side.REVERSING):
-                if group.contains(Isometry(PointPart.ROT90, (a + b, b - a), side)):
-                    quarter = side
-                if group.contains(Isometry(PointPart.ROT180, (2 * a, 2 * b), side)):
-                    half = side
-            if quarter is None and half is None:
-                continue
-            cx = a * px / 2
-            cy = (2 * win_h - b) * px / 2
-            if quarter is not None:
-                ink = _PRESERVING_INK if quarter is Side.PRESERVING else _REVERSING_INK
-                r = 0.15 * px
-                yield (
-                    f'<rect class="quarter-turn" x="{cx - r:g}" y="{cy - r:g}" '
-                    f'width="{2 * r:g}" height="{2 * r:g}" fill="{ink}"/>'
-                )
-            else:
-                ink = _PRESERVING_INK if half is Side.PRESERVING else _REVERSING_INK
-                r = 0.18 * px
-                points = (
-                    f"{cx:g},{cy - r:g} {cx + r:g},{cy:g} "
-                    f"{cx:g},{cy + r:g} {cx - r:g},{cy:g}"
-                )
-                yield f'<polygon class="half-turn" points="{points}" fill="{ink}"/>'
+def _centre_overlay(
+    inventory: AxisInventory, lattice: Lattice, win_w: int, win_h: int, px: int
+) -> Iterator[str]:
+    """Markers at every rotation centre in the window.
+
+    Each inventory entry is one class of centres modulo the translation
+    lattice, so the centres it puts in the window are its translates by
+    the lattice, whose basis (a, 0), (b, d) doubles to (2a, 0), (2b, 2d)
+    in doubled coordinates.  A quarter-turn centre is also a half-turn
+    centre; it gets the quarter-turn marker.  Markers are emitted by
+    doubled point (x, y) sorted on (-y, x): the top row first and left to
+    right within a row, a raster scan of the figure, which is the order
+    the tracked gallery figures hold them in.
+    """
+    step_x, shear, step_y = 2 * lattice.a, 2 * lattice.b, 2 * lattice.d
+    markers: dict[tuple[int, int], CentreEntry] = {}
+    # fold-4 entries come last and replace the half-turn at their points
+    for entry in sorted(inventory.centres, key=lambda e: e.fold):
+        x0, y0 = int(2 * entry.centre[0]), int(2 * entry.centre[1])
+        for y in range(y0 % step_y, 2 * win_h + 1, step_y):
+            row_x = x0 + (y - y0) // step_y * shear
+            for x in range(row_x % step_x, 2 * win_w + 1, step_x):
+                markers[(x, y)] = entry
+    for (x, y), entry in sorted(markers.items(), key=lambda item: (-item[0][1], item[0][0])):
+        ink = _PRESERVING_INK if entry.side is Side.PRESERVING else _REVERSING_INK
+        cx = x * px / 2
+        cy = (2 * win_h - y) * px / 2
+        if entry.fold == 4:
+            r = 0.15 * px
+            yield (
+                f'<rect class="quarter-turn" x="{cx - r:g}" y="{cy - r:g}" '
+                f'width="{2 * r:g}" height="{2 * r:g}" fill="{ink}"/>'
+            )
+        else:
+            r = 0.18 * px
+            points = (
+                f"{cx:g},{cy - r:g} {cx + r:g},{cy:g} "
+                f"{cx:g},{cy + r:g} {cx - r:g},{cy:g}"
+            )
+            yield f'<polygon class="half-turn" points="{points}" fill="{ink}"/>'
 
 
 def _lattice_outline(shown: Design, win_h: int, px: int) -> Iterator[str]:

@@ -42,6 +42,7 @@ from isoweave.isometry import (
     Isometry,
     PointPart,
     Side,
+    _centre_kind,
     act_on_strand,
     classify,
     translation,
@@ -449,13 +450,6 @@ class AxisInventory:
     centres: tuple[CentreEntry, ...]
 
 
-_AXIS_NAME = {
-    PointPart.MIRROR_H: "horizontal",
-    PointPart.MIRROR_V: "vertical",
-    PointPart.MIRROR_D: "diagonal",
-    PointPart.MIRROR_A: "antidiagonal",
-}
-
 #: Geometric shift of the axis offset under translation by (vx, vy).
 _OFFSET_COEFF = {
     PointPart.MIRROR_H: (0, 1),
@@ -491,7 +485,7 @@ def _mirror_axis_entries(rep: Isometry, lattice: Lattice) -> list[AxisEntry]:
         oblique = point in (PointPart.MIRROR_D, PointPart.MIRROR_A)
         entries.append(
             AxisEntry(
-                axis=_AXIS_NAME[point],
+                axis=cls.axis,
                 offset=offset,
                 kind="mirror" if glide == 0 else "glide",
                 glide=glide,
@@ -521,11 +515,10 @@ def _centre_entries(rep: Isometry, lattice: Lattice) -> list[CentreEntry]:
     entries = {}
     for s in shifts:
         cx, cy = doubled.reduce((base[0] + s[0], base[1] + s[1]))
-        kind = "cell_centre" if cx % 2 and cy % 2 else ("cell_corner" if not cx % 2 and not cy % 2 else "edge_midpoint")
         entries[(cx, cy)] = CentreEntry(
             fold=fold,
             centre=(Fraction(cx, 2), Fraction(cy, 2)),
-            centre_kind=kind,
+            centre_kind=_centre_kind(cx, cy),
             side=rep.side,
         )
     return list(entries.values())
@@ -538,7 +531,7 @@ def axis_inventory(design: Design) -> AxisInventory:
     axes: list[AxisEntry] = []
     centres: list[CentreEntry] = []
     for rep in group.reps:
-        if rep.point in _AXIS_NAME:
+        if rep.point in _OFFSET_COEFF:
             axes.extend(_mirror_axis_entries(rep, group.translations))
         elif rep.point in (PointPart.ROT180, PointPart.ROT90):
             centres.extend(_centre_entries(rep, group.translations))

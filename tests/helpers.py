@@ -7,7 +7,8 @@ import numpy as np
 
 from isoweave.design import Cell, Design
 from isoweave.isometry import Isometry, PointPart, Side, act_on_cell
-from isoweave.symmetry import _POINT_ORDER, Lattice, SymmetryGroup
+from isoweave.svg import _PRESERVING_INK, _REVERSING_INK
+from isoweave.symmetry import _POINT_ORDER, Lattice, SymmetryGroup, find_symmetries
 
 
 def pointwise_symmetry_check(design: Design, iso: Isometry) -> bool:
@@ -130,3 +131,38 @@ def lcm_square_symmetries(design: Design) -> SymmetryGroup:
         extended_translations=Lattice.from_vectors(extended),
         reps=tuple(reps),
     )
+
+
+def membership_scan_centre_overlay(shown: Design, win_w: int, win_h: int, px: int):
+    """Reference for the SVG centre overlay: the quarter-turn and half-turn
+    maps about each half-integer point of the window are tested for
+    membership in the symmetry group directly.  Tests compare the
+    inventory-driven overlay with it."""
+    group = find_symmetries(shown)
+    for b in range(2 * win_h, -1, -1):
+        for a in range(2 * win_w + 1):
+            quarter = half = None
+            for side in (Side.PRESERVING, Side.REVERSING):
+                if group.contains(Isometry(PointPart.ROT90, (a + b, b - a), side)):
+                    quarter = side
+                if group.contains(Isometry(PointPart.ROT180, (2 * a, 2 * b), side)):
+                    half = side
+            if quarter is None and half is None:
+                continue
+            cx = a * px / 2
+            cy = (2 * win_h - b) * px / 2
+            if quarter is not None:
+                ink = _PRESERVING_INK if quarter is Side.PRESERVING else _REVERSING_INK
+                r = 0.15 * px
+                yield (
+                    f'<rect class="quarter-turn" x="{cx - r:g}" y="{cy - r:g}" '
+                    f'width="{2 * r:g}" height="{2 * r:g}" fill="{ink}"/>'
+                )
+            else:
+                ink = _PRESERVING_INK if half is Side.PRESERVING else _REVERSING_INK
+                r = 0.18 * px
+                points = (
+                    f"{cx:g},{cy - r:g} {cx + r:g},{cy:g} "
+                    f"{cx:g},{cy + r:g} {cx - r:g},{cy:g}"
+                )
+                yield f'<polygon class="half-turn" points="{points}" fill="{ink}"/>'

@@ -1,5 +1,6 @@
 """Tests for the SVG renderer: determinism, fills, faces, overlays."""
 
+import random
 import re
 import runpy
 import shutil
@@ -7,17 +8,22 @@ from pathlib import Path
 
 import pytest
 
+from helpers import membership_scan_centre_overlay, random_design
 from isoweave.design import Design, plain_weave, reverse, twill
 from isoweave.colouring import Striping, standard_colouring
+from isoweave.isometry import PointPart
 from isoweave.svg import (
     DEFAULT_PALETTE,
     Face,
     RenderOptions,
     WARP_FILL,
     WEFT_FILL,
+    _REVERSING_INK,
+    _centre_overlay,
     render_colouring,
     render_design,
 )
+from isoweave.symmetry import axis_inventory, find_symmetries
 
 THREE = Striping(3, (0, 1, 2), (1, 2, 0))
 
@@ -74,6 +80,43 @@ def test_axes_overlay_present():
     assert solid and dashed  # the three-end twill has mirrors and glide axes
     bare = render_design(twill("2/1"))
     assert "<line" not in bare and "half-turn" not in bare
+
+
+def _off_period_window(rng: random.Random, d: Design) -> tuple[int, int]:
+    """A seeded window whose sides are not multiples of the design's sides
+    (where those exceed 1)."""
+
+    def side(n: int) -> int:
+        k = rng.randrange(1, 2 * n)
+        return k + 1 if n > 1 and k % n == 0 else k
+
+    return (side(d.width), side(d.height))
+
+
+def test_centre_overlay_matches_the_membership_scan(enumerated_designs, isonemal_pool):
+    rng = random.Random(1408)
+    # a design without a rotation among its reps draws no centre either way
+    rotating = [
+        d
+        for d in enumerated_designs
+        if any(rep.point in (PointPart.ROT90, PointPart.ROT180) for rep in find_symmetries(d).reps)
+    ]
+    cases = [(d, [(1, 1), _off_period_window(rng, d)]) for d in rotating[::8]]
+    # the back face has the same group, so the two faces take turns
+    for i, d in enumerate(isonemal_pool + [random_design(rng, 7) for _ in range(300)]):
+        window = (2 * d.width, 2 * d.height) if i % 3 == 0 else (1, 1)
+        cases.append((reverse(d) if i % 2 else d, [window, _off_period_window(rng, d)]))
+    drawn = set()
+    for shown, windows in cases:
+        inventory, lattice = axis_inventory(shown), find_symmetries(shown).translations
+        for window in windows:
+            markers = list(_centre_overlay(inventory, lattice, *window, 20))
+            assert markers == list(membership_scan_centre_overlay(shown, *window, 20)), (shown, window)
+            drawn.update(
+                re.findall(r'<(?:rect|polygon) class="([a-z-]+)"[^>]*fill="([^"]+)"', "".join(markers))
+            )
+    assert ("quarter-turn", _REVERSING_INK) in drawn
+    assert ("half-turn", _REVERSING_INK) in drawn
 
 
 def test_lattice_unit_overlay():
