@@ -25,7 +25,7 @@ from itertools import permutations, product
 import numpy as np
 
 from isoweave.design import Design, Direction, Strand, permutation_design
-from isoweave.isometry import Isometry, PointPart, act_on_strand
+from isoweave.isometry import Isometry, PointPart
 from isoweave.symmetry import (
     find_symmetries,
     glides_all_mirror_position,
@@ -221,6 +221,25 @@ class ColouringReport:
     permutations: tuple[tuple[Isometry, tuple[int, ...]], ...]
 
 
+def _strand_actions(striping: Striping, iso: Isometry):
+    """The strand action of one isometry, hoisted out of the scans over
+    strands (they are the hot path of the striping search).
+
+    The action is affine in the strand index: for each direction this
+    gives ``(direction, source colours, coeff, offset, image colours)``,
+    where strand k of that direction, coloured ``source[k]``, maps to the
+    strand ``(coeff * (2k + 1) + offset - 1) // 2`` coloured from
+    ``image`` (the other direction's colours when the isometry swaps
+    directions).  Sequences are read cyclically.
+    """
+    m = iso.point.matrix
+    sx, sy = iso.shift
+    wa, we = striping.warp_seq, striping.weft_seq
+    if iso.point.swaps_directions:
+        return ((Direction.WARP, wa, m[1][0], sy, we), (Direction.WEFT, we, m[0][1], sx, wa))
+    return ((Direction.WARP, wa, m[0][0], sx, wa), (Direction.WEFT, we, m[1][1], sy, we))
+
+
 def _transport(
     striping: Striping, iso: Isometry, n: int
 ) -> tuple[tuple[int, ...] | None, Conflict | None]:
@@ -236,27 +255,8 @@ def _transport(
     c = striping.colours
     mapping: list[int | None] = [None] * c
     setter: list[tuple[Direction, int] | None] = [None] * c
-    # the strand action of a fixed isometry is affine in the strand index,
-    # so hoist its coefficients out of the scan (this loop is the hot path
-    # of the striping search)
-    m = iso.point.matrix
-    swaps = iso.point.swaps_directions
-    sx, sy = iso.shift
-    wa, we = striping.warp_seq, striping.weft_seq
-    la, le = len(wa), len(we)
-    for direction in (Direction.WARP, Direction.WEFT):
-        if direction is Direction.WARP:
-            src, ls = wa, la
-            if swaps:
-                coeff, off, img, li = m[1][0], sy, we, le
-            else:
-                coeff, off, img, li = m[0][0], sx, wa, la
-        else:
-            src, ls = we, le
-            if swaps:
-                coeff, off, img, li = m[0][1], sx, wa, la
-            else:
-                coeff, off, img, li = m[1][1], sy, we, le
+    for direction, src, coeff, off, img in _strand_actions(striping, iso):
+        ls, li = len(src), len(img)
         for k in range(n):
             a = src[k % ls]
             b = img[((coeff * (2 * k + 1) + off - 1) // 2) % li]
@@ -323,19 +323,16 @@ def stripes_preserved(design: Design, striping: Striping) -> bool:
     """True iff every symmetry of the design maps stripe boundaries to
     stripe boundaries (weaker than perfection: colours may scramble as
     long as the stripe layout survives)."""
-    group = find_symmetries(design)
-    n = math.lcm(design.width, design.height, len(striping.warp_seq), len(striping.weft_seq))
-    for g in group.generators():
-        for direction in (Direction.WARP, Direction.WEFT):
-            colour = (
-                striping.warp_colour if direction == Direction.WARP else striping.weft_colour
-            )
+    n = _combined_period(design, striping)
+    for g in find_symmetries(design).generators():
+        for _, src, coeff, off, img in _strand_actions(striping, g):
+            ls, li = len(src), len(img)
             for k in range(n):
-                if colour(k) == colour(k + 1):
+                if src[k % ls] == src[(k + 1) % ls]:
                     continue  # not a boundary
-                a = act_on_strand(g, Strand(direction, k))
-                b = act_on_strand(g, Strand(direction, k + 1))
-                if striping.strand_colour(a) == striping.strand_colour(b):
+                # strand k + 1 maps to the image of strand k plus coeff
+                image = (coeff * (2 * k + 1) + off - 1) // 2
+                if img[image % li] == img[(image + coeff) % li]:
                     return False
     return True
 

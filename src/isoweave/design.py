@@ -86,7 +86,8 @@ class Design:
 
     def to_array(self) -> np.ndarray:
         """Boolean array indexed [y][x] over one period (True = warp up)."""
-        return np.array([[ch == WARP_CHAR for ch in row] for row in self.rows], dtype=bool)
+        codes = np.frombuffer("".join(self.rows).encode("ascii"), dtype=np.uint8)
+        return codes.reshape(self.height, self.width) == ord(WARP_CHAR)
 
     def minimal(self) -> "Design":
         """The same fabric on its minimal period rectangle.

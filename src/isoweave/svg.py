@@ -5,7 +5,10 @@ window of two fundamental periods in each direction by default.  With a
 striping, each cell takes the dark variant of the visible warp colour or
 the pale variant of the visible weft colour; a crossing whose two
 strands share a colour looks the same whichever is uppermost, and is
-drawn as the flat dark variant.
+drawn as the flat dark variant.  The cells come from one fill-index
+array built with numpy over the whole window - the design tiled, the
+warp and weft colours broadcast against each other - that indexes one
+table of inks, so no per-cell lookup is made.
 
 Overlays mark the reflection axes (solid for mirrors, dashed for glide
 axes), rotation centres (a diamond for half turns, a square for quarter
@@ -15,10 +18,15 @@ the front onto the back.  Both axes and centres are drawn from the
 design's axis inventory: each entry is one class of parallel axes or of
 centres modulo the translation lattice, and the figure draws the class
 members that fall in the window, so the work follows the number of
-lines and markers drawn rather than the area of the window.
+lines and markers drawn rather than the area of the window.  Overlay
+coordinates are worked in half cells (doubled coordinates), where every
+axis offset and centre is an integer; only the final pixel value can be
+a half.
 
 The back face is rendered by flipping the figure of the reversed design
-left to right, which is what turning a fabric over does.  All output is
+left to right, which is what turning a fabric over does.  The reversed
+design is the complement, which has the same symmetry group, so the
+overlays of both faces are drawn from the front's group.  All output is
 a pure function of the design, striping, and options, so repeated calls
 yield byte-identical SVG.
 """
@@ -28,11 +36,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Iterator
+
+import numpy as np
 
 from isoweave.colouring import Striping
-from isoweave.design import Design, reverse
+from isoweave.design import Design
 from isoweave.isometry import Side
 from isoweave.symmetry import (
     AxisInventory,
@@ -104,13 +113,9 @@ class RenderOptions:
 
 def render_design(design: Design, options: RenderOptions = RenderOptions()) -> str:
     """An SVG figure of the bare weave, warps dark and wefts pale."""
-    shown = design if options.side is Face.OBVERSE else reverse(design)
     window = options.window or (2 * design.width, 2 * design.height)
-
-    def fill(x: int, y: int) -> str:
-        return WARP_FILL if shown.warp_up(x, y) else WEFT_FILL
-
-    return _figure(shown, fill, window, options)
+    up = _warp_up(design, window, options.side)
+    return _figure(design, np.where(up, 0, 1), (WARP_FILL, WEFT_FILL), window, options)
 
 
 def render_colouring(
@@ -127,33 +132,45 @@ def render_colouring(
             f"palette has {len(options.palette)} pairs; "
             f"striping needs {striping.colours}"
         )
-    shown = design if options.side is Face.OBVERSE else reverse(design)
     window = options.window or (
         2 * math.lcm(design.width, len(striping.warp_seq)),
         2 * math.lcm(design.height, len(striping.weft_seq)),
     )
-
-    def fill(x: int, y: int) -> str:
-        warp_colour = striping.warp_colour(x)
-        weft_colour = striping.weft_colour(y)
-        if warp_colour == weft_colour:
-            return options.palette[warp_colour][0]
-        if shown.warp_up(x, y):
-            return options.palette[warp_colour][0]
-        return options.palette[weft_colour][1]
-
-    return _figure(shown, fill, window, options)
+    win_w, win_h = window
+    warp = np.resize(striping.warp_seq, win_w)[None, :]
+    weft = np.resize(striping.weft_seq, win_h)[:, None]
+    dark = _warp_up(design, window, options.side) | (warp == weft)
+    # palette pair c sits at ink indices 2c (dark) and 2c + 1 (pale)
+    fill_index = np.where(dark, 2 * warp, 2 * weft + 1)
+    inks = tuple(ink for pair in options.palette for ink in pair)
+    return _figure(design, fill_index, inks, window, options)
 
 
 # -- assembly ------------------------------------------------------------
 
 
+def _warp_up(design: Design, window: tuple[int, int], side: Face) -> np.ndarray:
+    """The face shown, tiled over the window: True where the warp is up.
+
+    The back face is the complement of the front (see ``reverse``).
+    """
+    win_w, win_h = window
+    rows = np.arange(win_h) % design.height
+    cols = np.arange(win_w) % design.width
+    up = design.to_array()[rows[:, None], cols]
+    return up if side is Face.OBVERSE else ~up
+
+
 def _figure(
-    shown: Design,
-    fill: Callable[[int, int], str],
+    design: Design,
+    fill_index: np.ndarray,
+    inks: tuple[str, ...],
     window: tuple[int, int],
     options: RenderOptions,
 ) -> str:
+    """Assemble the figure: cell ``(x, y)`` is filled with
+    ``inks[fill_index[y, x]]``.  The overlays are drawn from the obverse
+    design's group, which the back face shares."""
     win_w, win_h = window
     px = options.cell_px
     width, height = win_w * px, win_h * px
@@ -165,19 +182,17 @@ def _figure(
     if options.side is Face.REVERSE:
         parts.append(f'<g transform="translate({width} 0) scale(-1 1)">')
 
-    for y in range(win_h):
-        top = (win_h - 1 - y) * px
-        for x in range(win_w):
-            parts.append(
-                f'<rect class="cell" x="{x * px}" y="{top}" '
-                f'width="{px}" height="{px}" fill="{fill(x, y)}"/>'
-            )
+    heads = [f'<rect class="cell" x="{x * px}" y="' for x in range(win_w)]
+    tails = [f'{ink}"/>' for ink in inks]
+    for y, row in enumerate(fill_index.tolist()):
+        middle = f'{(win_h - 1 - y) * px}" width="{px}" height="{px}" fill="'
+        parts.extend(head + middle + tails[i] for head, i in zip(heads, row))
 
     if options.show_lattice_unit:
-        parts.extend(_lattice_outline(shown, win_h, px))
+        parts.extend(_lattice_outline(design, win_h, px))
     if options.show_axes:
-        inventory = axis_inventory(shown)
-        lattice = find_symmetries(shown).translations
+        inventory = axis_inventory(design)
+        lattice = find_symmetries(design).translations
         parts.extend(_axis_overlay(inventory, win_w, win_h, px))
         parts.extend(_centre_overlay(inventory, lattice, win_w, win_h, px))
 
@@ -187,24 +202,24 @@ def _figure(
     return "\n".join(parts) + "\n"
 
 
-def _px(value: Fraction | int, px: int) -> str:
-    """A pixel coordinate as a minimal decimal literal."""
-    scaled = Fraction(value) * px
-    if scaled.denominator == 1:
-        return str(scaled.numerator)
-    return f"{float(scaled):g}"
+def _px(doubled: int, px: int) -> str:
+    """The pixel coordinate of a doubled coordinate, as a minimal decimal
+    literal."""
+    scaled = doubled * px
+    return str(scaled // 2) if scaled % 2 == 0 else f"{scaled / 2:g}"
 
 
 def _line(
-    p1: tuple[Fraction, Fraction],
-    p2: tuple[Fraction, Fraction],
+    p1: tuple[int, int],
+    p2: tuple[int, int],
     win_h: int,
     px: int,
     ink: str,
     dashed: bool,
 ) -> str:
-    x1, y1 = _px(p1[0], px), _px(win_h - p1[1], px)
-    x2, y2 = _px(p2[0], px), _px(win_h - p2[1], px)
+    """A line between two doubled points, y flipped to run down the page."""
+    x1, y1 = _px(p1[0], px), _px(2 * win_h - p1[1], px)
+    x2, y2 = _px(p2[0], px), _px(2 * win_h - p2[1], px)
     dash = ' stroke-dasharray="6 4"' if dashed else ""
     width = "1.4" if dashed else "1.8"
     return (
@@ -216,31 +231,38 @@ def _line(
 def _axis_overlay(
     inventory: AxisInventory, win_w: int, win_h: int, px: int
 ) -> Iterator[str]:
-    """Lines for every axis of every class crossing the window."""
+    """Lines for every axis of every class crossing the window.
+
+    Works in doubled coordinates: an axis offset is a whole or half cell,
+    so twice it is an integer, as are the doubled spacing and window.
+    """
+    w2, h2 = 2 * win_w, 2 * win_h
     for entry in inventory.axes:
         ink = _PRESERVING_INK if entry.side is Side.PRESERVING else _REVERSING_INK
         dashed = entry.kind == "glide"
+        offset = 2 * entry.offset.numerator // entry.offset.denominator
+        spacing = 2 * entry.spacing
         # range of the axis coordinate (y, x, x - y, or x + y) in the window
         if entry.axis == "horizontal":
-            lo, hi = Fraction(0), Fraction(win_h)
+            lo, hi = 0, h2
         elif entry.axis == "vertical":
-            lo, hi = Fraction(0), Fraction(win_w)
+            lo, hi = 0, w2
         elif entry.axis == "diagonal":
-            lo, hi = Fraction(-win_h), Fraction(win_w)
+            lo, hi = -h2, w2
         else:
-            lo, hi = Fraction(0), Fraction(win_w + win_h)
-        first = math.ceil((lo - entry.offset) / entry.spacing)
-        last = math.floor((hi - entry.offset) / entry.spacing)
+            lo, hi = 0, w2 + h2
+        first = -((offset - lo) // spacing)
+        last = (hi - offset) // spacing
         for k in range(first, last + 1):
-            value = entry.offset + k * entry.spacing
+            value = offset + k * spacing
             if entry.axis == "horizontal":
-                p1, p2 = (Fraction(0), value), (Fraction(win_w), value)
+                p1, p2 = (0, value), (w2, value)
             elif entry.axis == "vertical":
-                p1, p2 = (value, Fraction(0)), (value, Fraction(win_h))
+                p1, p2 = (value, 0), (value, h2)
             elif entry.axis == "diagonal":
-                p1, p2 = (value, Fraction(0)), (value + win_h, Fraction(win_h))
+                p1, p2 = (value, 0), (value + h2, h2)
             else:
-                p1, p2 = (value, Fraction(0)), (value - win_h, Fraction(win_h))
+                p1, p2 = (value, 0), (value - h2, h2)
             yield _line(p1, p2, win_h, px, ink, dashed)
 
 
@@ -286,8 +308,8 @@ def _centre_overlay(
             yield f'<polygon class="half-turn" points="{points}" fill="{ink}"/>'
 
 
-def _lattice_outline(shown: Design, win_h: int, px: int) -> Iterator[str]:
-    unit = lattice_units(shown).preserving
+def _lattice_outline(design: Design, win_h: int, px: int) -> Iterator[str]:
+    unit = lattice_units(design).preserving
     corners = [
         (0, 0),
         unit.v1,

@@ -2,13 +2,31 @@
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 
-from isoweave.design import Cell, Design
-from isoweave.isometry import Isometry, PointPart, Side, act_on_cell
-from isoweave.svg import _PRESERVING_INK, _REVERSING_INK
-from isoweave.symmetry import _POINT_ORDER, Lattice, SymmetryGroup, find_symmetries
+from isoweave.colouring import Striping
+from isoweave.design import Cell, Design, Direction, Strand, reverse
+from isoweave.isometry import Isometry, PointPart, Side, act_on_cell, act_on_strand
+from isoweave.svg import (
+    WARP_FILL,
+    WEFT_FILL,
+    _PRESERVING_INK,
+    _REVERSING_INK,
+    Face,
+    RenderOptions,
+    _centre_overlay,
+    _lattice_outline,
+)
+from isoweave.symmetry import (
+    _POINT_ORDER,
+    AxisInventory,
+    Lattice,
+    SymmetryGroup,
+    axis_inventory,
+    find_symmetries,
+)
 
 
 def pointwise_symmetry_check(design: Design, iso: Isometry) -> bool:
@@ -166,3 +184,139 @@ def membership_scan_centre_overlay(shown: Design, win_w: int, win_h: int, px: in
                     f"{cx:g},{cy + r:g} {cx - r:g},{cy:g}"
                 )
                 yield f'<polygon class="half-turn" points="{points}" fill="{ink}"/>'
+
+
+def per_strand_stripes_preserved(design: Design, striping: Striping) -> bool:
+    """Reference for ``stripes_preserved``: every stripe boundary is mapped
+    strand by strand with ``act_on_strand``, and the colours of the two
+    image strands are looked up directly."""
+    group = find_symmetries(design)
+    n = math.lcm(design.width, design.height, len(striping.warp_seq), len(striping.weft_seq))
+    for g in group.generators():
+        for direction in (Direction.WARP, Direction.WEFT):
+            colour = (
+                striping.warp_colour if direction == Direction.WARP else striping.weft_colour
+            )
+            for k in range(n):
+                if colour(k) == colour(k + 1):
+                    continue  # not a boundary
+                a = act_on_strand(g, Strand(direction, k))
+                b = act_on_strand(g, Strand(direction, k + 1))
+                if striping.strand_colour(a) == striping.strand_colour(b):
+                    return False
+    return True
+
+
+# -- per-cell SVG reference ----------------------------------------------
+#
+# The figure as drawn one cell at a time through ``warp_up`` and the
+# striping's colour lookups, with its axes placed in Fraction arithmetic
+# and its overlays drawn from the group of the face shown.  Tests compare
+# the array raster and the doubled-integer overlays with it.
+
+
+def per_cell_render_design(design: Design, options: RenderOptions = RenderOptions()) -> str:
+    shown = design if options.side is Face.OBVERSE else reverse(design)
+    window = options.window or (2 * design.width, 2 * design.height)
+
+    def fill(x: int, y: int) -> str:
+        return WARP_FILL if shown.warp_up(x, y) else WEFT_FILL
+
+    return _per_cell_figure(shown, fill, window, options)
+
+
+def per_cell_render_colouring(
+    design: Design, striping: Striping, options: RenderOptions = RenderOptions()
+) -> str:
+    shown = design if options.side is Face.OBVERSE else reverse(design)
+    window = options.window or (
+        2 * math.lcm(design.width, len(striping.warp_seq)),
+        2 * math.lcm(design.height, len(striping.weft_seq)),
+    )
+
+    def fill(x: int, y: int) -> str:
+        warp_colour = striping.warp_colour(x)
+        weft_colour = striping.weft_colour(y)
+        if warp_colour == weft_colour:
+            return options.palette[warp_colour][0]
+        if shown.warp_up(x, y):
+            return options.palette[warp_colour][0]
+        return options.palette[weft_colour][1]
+
+    return _per_cell_figure(shown, fill, window, options)
+
+
+def _per_cell_figure(shown, fill, window, options) -> str:
+    win_w, win_h = window
+    px = options.cell_px
+    width, height = win_w * px, win_h * px
+    parts = [
+        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">'
+    ]
+    if options.side is Face.REVERSE:
+        parts.append(f'<g transform="translate({width} 0) scale(-1 1)">')
+    for y in range(win_h):
+        top = (win_h - 1 - y) * px
+        for x in range(win_w):
+            parts.append(
+                f'<rect class="cell" x="{x * px}" y="{top}" '
+                f'width="{px}" height="{px}" fill="{fill(x, y)}"/>'
+            )
+    if options.show_lattice_unit:
+        parts.extend(_lattice_outline(shown, win_h, px))
+    if options.show_axes:
+        inventory = axis_inventory(shown)
+        lattice = find_symmetries(shown).translations
+        parts.extend(fraction_axis_overlay(inventory, win_w, win_h, px))
+        parts.extend(_centre_overlay(inventory, lattice, win_w, win_h, px))
+    if options.side is Face.REVERSE:
+        parts.append("</g>")
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def _fraction_px(value, px: int) -> str:
+    scaled = Fraction(value) * px
+    if scaled.denominator == 1:
+        return str(scaled.numerator)
+    return f"{float(scaled):g}"
+
+
+def _fraction_line(p1, p2, win_h: int, px: int, ink: str, dashed: bool) -> str:
+    x1, y1 = _fraction_px(p1[0], px), _fraction_px(win_h - p1[1], px)
+    x2, y2 = _fraction_px(p2[0], px), _fraction_px(win_h - p2[1], px)
+    dash = ' stroke-dasharray="6 4"' if dashed else ""
+    width = "1.4" if dashed else "1.8"
+    return (
+        f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
+        f'stroke="{ink}" stroke-width="{width}"{dash}/>'
+    )
+
+
+def fraction_axis_overlay(inventory: AxisInventory, win_w: int, win_h: int, px: int):
+    """Reference for the SVG axis overlay, in cell units with Fractions."""
+    for entry in inventory.axes:
+        ink = _PRESERVING_INK if entry.side is Side.PRESERVING else _REVERSING_INK
+        dashed = entry.kind == "glide"
+        if entry.axis == "horizontal":
+            lo, hi = Fraction(0), Fraction(win_h)
+        elif entry.axis == "vertical":
+            lo, hi = Fraction(0), Fraction(win_w)
+        elif entry.axis == "diagonal":
+            lo, hi = Fraction(-win_h), Fraction(win_w)
+        else:
+            lo, hi = Fraction(0), Fraction(win_w + win_h)
+        first = math.ceil((lo - entry.offset) / entry.spacing)
+        last = math.floor((hi - entry.offset) / entry.spacing)
+        for k in range(first, last + 1):
+            value = entry.offset + k * entry.spacing
+            if entry.axis == "horizontal":
+                p1, p2 = (Fraction(0), value), (Fraction(win_w), value)
+            elif entry.axis == "vertical":
+                p1, p2 = (value, Fraction(0)), (value, Fraction(win_h))
+            elif entry.axis == "diagonal":
+                p1, p2 = (value, Fraction(0)), (value + win_h, Fraction(win_h))
+            else:
+                p1, p2 = (value, Fraction(0)), (value - win_h, Fraction(win_h))
+            yield _fraction_line(p1, p2, win_h, px, ink, dashed)

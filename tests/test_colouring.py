@@ -11,7 +11,7 @@ import random
 import numpy as np
 import pytest
 
-from helpers import random_design
+from helpers import per_strand_stripes_preserved, random_design
 from isoweave.design import Design, permutation_design, plain_weave, twill
 from isoweave.colouring import (
     ColourSetsRelation,
@@ -183,6 +183,24 @@ def test_stripes_preserved():
     # striping keeps its boundaries only under half the translations
     s = Striping(2, (0, 0, 1, 1), (0, 0, 1, 1))
     assert not stripes_preserved(plain_weave(), s)
+
+
+def test_stripes_preserved_matches_the_per_strand_oracle(enumerated_designs):
+    rng = random.Random(1079)
+    verdicts = []
+    for d in enumerated_designs[::10]:
+        c = rng.randrange(2, 6)
+        thin = Striping(c, tuple(range(c)), tuple(rng.sample(range(c), c)))
+        thick = Striping(
+            c,
+            tuple(rng.randrange(c) for _ in range(rng.randrange(1, 7))),
+            tuple(rng.randrange(c) for _ in range(rng.randrange(1, 7))),
+        )
+        for s in (thin, thick):
+            verdict = stripes_preserved(d, s)
+            assert verdict == per_strand_stripes_preserved(d, s), (d, s)
+            verdicts.append(verdict)
+    assert 100 < sum(verdicts) < len(verdicts) - 100
 
 
 # -- search --------------------------------------------------------------

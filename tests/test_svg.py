@@ -1,5 +1,6 @@
 """Tests for the SVG renderer: determinism, fills, faces, overlays."""
 
+import math
 import random
 import re
 import runpy
@@ -8,7 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from helpers import membership_scan_centre_overlay, random_design
+from helpers import (
+    fraction_axis_overlay,
+    membership_scan_centre_overlay,
+    per_cell_render_colouring,
+    per_cell_render_design,
+    random_design,
+)
 from isoweave.design import Design, plain_weave, reverse, twill
 from isoweave.colouring import Striping, standard_colouring
 from isoweave.isometry import PointPart
@@ -19,6 +26,7 @@ from isoweave.svg import (
     WARP_FILL,
     WEFT_FILL,
     _REVERSING_INK,
+    _axis_overlay,
     _centre_overlay,
     render_colouring,
     render_design,
@@ -117,6 +125,82 @@ def test_centre_overlay_matches_the_membership_scan(enumerated_designs, isonemal
             )
     assert ("quarter-turn", _REVERSING_INK) in drawn
     assert ("half-turn", _REVERSING_INK) in drawn
+
+
+def _seeded_striping(rng: random.Random) -> Striping:
+    """Thin (each colour once per direction) or thick (repeats allowed)."""
+    c = rng.randrange(1, 6)
+    if rng.random() < 0.5:
+        return Striping(c, tuple(rng.sample(range(c), c)), tuple(rng.sample(range(c), c)))
+    warp = tuple(rng.randrange(c) for _ in range(rng.randrange(1, 7)))
+    weft = tuple(rng.randrange(c) for _ in range(rng.randrange(1, 7)))
+    return Striping(c, warp, weft)
+
+
+def test_renders_match_the_per_cell_oracle(enumerated_designs, isonemal_pool):
+    rng = random.Random(4041)
+    designs = (
+        enumerated_designs[::10]
+        + isonemal_pool[::12]
+        + [random_design(rng, 7) for _ in range(60)]
+        + [twill("5/3/4/2"), twill("1/1/2/3")]
+    )
+    flat_dark = thick = 0
+    for i, d in enumerate(designs):
+        striping = _seeded_striping(rng)
+        options = RenderOptions(
+            cell_px=(1, 7, 13, 20)[i % 4],
+            show_axes=i % 3 != 2,
+            show_lattice_unit=i % 3 != 1,
+            side=Face.REVERSE if i % 2 else Face.OBVERSE,
+            window=None if i % 5 < 2 else _off_period_window(rng, d),
+        )
+        assert render_design(d, options) == per_cell_render_design(d, options), (d, options)
+        got = render_colouring(d, striping, options)
+        assert got == per_cell_render_colouring(d, striping, options), (d, striping, options)
+        thick += len(set(striping.warp_seq)) < len(striping.warp_seq)
+        # a like-coloured crossing with the weft up on the face shown
+        shown = reverse(d) if options.side is Face.REVERSE else d
+        win_w, win_h = options.window or (
+            2 * math.lcm(d.width, len(striping.warp_seq)),
+            2 * math.lcm(d.height, len(striping.weft_seq)),
+        )
+        flat_dark += any(
+            striping.warp_colour(x) == striping.weft_colour(y) and not shown.warp_up(x, y)
+            for y in range(win_h)
+            for x in range(win_w)
+        )
+    assert thick > 100 and flat_dark > 100
+
+
+def test_axis_overlay_matches_the_fraction_oracle(isonemal_pool):
+    rng = random.Random(2014)
+    designs = isonemal_pool[::3] + [random_design(rng, 7) for _ in range(200)]
+    drawn = 0
+    for i, d in enumerate(designs):
+        inventory = axis_inventory(d)
+        window = _off_period_window(rng, d) if i % 2 else (2 * d.width, 2 * d.height)
+        for px in (1, 7, 20):
+            lines = list(_axis_overlay(inventory, *window, px))
+            assert lines == list(fraction_axis_overlay(inventory, *window, px)), (d, window, px)
+            drawn += len(lines)
+    assert drawn > 1000
+
+
+def test_back_face_builds_the_group_once():
+    # the back face shares the front's group: once the front's is built,
+    # drawing the back's overlays builds no other
+    d = twill("5/3/4/2")
+    options = RenderOptions(show_axes=True, show_lattice_unit=True, side=Face.REVERSE)
+    for render, reference in (
+        (lambda: render_design(d, options), lambda: per_cell_render_design(d, options)),
+        (lambda: render_colouring(d, THREE, options), lambda: per_cell_render_colouring(d, THREE, options)),
+    ):
+        expected = reference()
+        find_symmetries.cache_clear()
+        find_symmetries(d)
+        assert render() == expected
+        assert find_symmetries.cache_info().misses == 1
 
 
 def test_lattice_unit_overlay():
