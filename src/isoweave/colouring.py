@@ -20,12 +20,13 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
-from itertools import permutations, product
+from itertools import accumulate, permutations, product
+from operator import mul
 
 import numpy as np
 
 from isoweave.design import Design, Direction, Strand, permutation_design
-from isoweave.isometry import Isometry, PointPart
+from isoweave.isometry import Isometry, PointPart, strand_map
 from isoweave.symmetry import (
     find_symmetries,
     glides_all_mirror_position,
@@ -113,8 +114,8 @@ def colour_sets_relation(striping: Striping) -> ColourSetsRelation:
 
 
 def visible(design: Design, striping: Striping) -> np.ndarray:
-    """Colour shown at each cell over one combined period: the warp colour
-    where the warp is up, the weft colour where the weft is up.
+    """Colour shown at each cell over one combined period, that is the warp
+    colour where the warp is up and the weft colour where the weft is up.
 
     Indexed ``[y][x]``; shape is the least common period of design and
     striping in each direction.
@@ -222,22 +223,22 @@ class ColouringReport:
 
 
 def _strand_actions(striping: Striping, iso: Isometry):
-    """The strand action of one isometry, hoisted out of the scans over
-    strands (they are the hot path of the striping search).
+    """The strand action of one isometry (``strand_map``) bundled with
+    the striping's colours, hoisted out of the scans over strands (they
+    are the hot path of the striping search).
 
-    The action is affine in the strand index: for each direction this
-    gives ``(direction, source colours, coeff, offset, image colours)``,
-    where strand k of that direction, coloured ``source[k]``, maps to the
-    strand ``(coeff * (2k + 1) + offset - 1) // 2`` coloured from
-    ``image`` (the other direction's colours when the isometry swaps
-    directions).  Sequences are read cyclically.
+    For each direction this gives ``(direction, source colours, coeff,
+    offset, image colours)``, where strand k of that direction, coloured
+    ``source[k]``, maps to the strand ``(coeff * (2k + 1) + offset - 1) // 2``
+    coloured from ``image`` (the other direction's colours when the
+    isometry swaps directions).  Sequences are read cyclically.
     """
-    m = iso.point.matrix
-    sx, sy = iso.shift
+    swaps, warp, weft = strand_map(iso)
     wa, we = striping.warp_seq, striping.weft_seq
-    if iso.point.swaps_directions:
-        return ((Direction.WARP, wa, m[1][0], sy, we), (Direction.WEFT, we, m[0][1], sx, wa))
-    return ((Direction.WARP, wa, m[0][0], sx, wa), (Direction.WEFT, we, m[1][1], sy, we))
+    return (
+        (Direction.WARP, wa, *warp, we if swaps else wa),
+        (Direction.WEFT, we, *weft, wa if swaps else we),
+    )
 
 
 def _transport(
@@ -250,8 +251,6 @@ def _transport(
     themselves in sorted order, or (None, conflict) when two strands of
     one colour land on different colours or two colours collide.
     """
-    if not iso.preserves_cells:
-        raise ValueError(f"isometry does not preserve cells: {iso}")
     c = striping.colours
     mapping: list[int | None] = [None] * c
     setter: list[tuple[Direction, int] | None] = [None] * c
@@ -339,6 +338,10 @@ def stripes_preserved(design: Design, striping: Striping) -> bool:
 
 # -- search and construction --------------------------------------------
 
+#: Most candidates ``search_stripings`` will try: thin equal palettes up
+#: to nine colours, thick ones up to three at the default ``max_len``.
+MAX_CANDIDATES = 2_000_000
+
 
 def _minimal_period(seq: tuple[int, ...]) -> bool:
     n = len(seq)
@@ -372,8 +375,30 @@ def search_stripings(
     candidate splits the palette evenly, warps first.  Non-thin: all
     sequence pairs up to ``max_len`` (default 2c) per direction, in
     first-use canonical labelling, filtered to the requested relation.
+
+    Raises ValueError, before building any candidate, when the candidate
+    count is estimated above ``MAX_CANDIDATES``: c! for thin equal
+    palettes, and (c + c^2 + ... + c^max_len)^2 for thick ones.
     """
     c = colours
+    limit = 2 * c if max_len is None else max_len
+    # the estimate is built up term by term and cut short far past the
+    # cap, so an absurd palette is refused at once
+    if not thin:
+        steps = (s * s for s in accumulate(c**length for length in range(1, limit + 1)))
+    elif relation == ColourSetsRelation.EQUAL:
+        steps = accumulate(range(1, c + 1), mul)
+    else:
+        steps = ()
+    estimate = 1
+    for estimate in steps:
+        if estimate > MAX_CANDIDATES**2:
+            break
+    if estimate > MAX_CANDIDATES:
+        bound = "at least " if estimate > MAX_CANDIDATES**2 else ""
+        raise ValueError(
+            f"search would try {bound}{estimate} candidates, more than the cap of {MAX_CANDIDATES}"
+        )
     candidates: list[Striping] = []
     if thin:
         if relation == ColourSetsRelation.EQUAL:
@@ -387,7 +412,6 @@ def search_stripings(
         else:
             raise ValueError(f"cannot search for relation {relation}")
     else:
-        limit = 2 * c if max_len is None else max_len
         seqs = [
             seq
             for length in range(1, limit + 1)

@@ -35,14 +35,6 @@ class Direction(Enum):
 
 
 @dataclass(frozen=True)
-class Cell:
-    """A grid cell, addressed by column x and row y."""
-
-    x: int
-    y: int
-
-
-@dataclass(frozen=True)
 class Strand:
     """One strand: a whole column (warp) or row (weft) of the grid."""
 
@@ -131,20 +123,6 @@ class Design:
         """Swap warp-up and weft-up everywhere."""
         table = str.maketrans({WARP_CHAR: WEFT_CHAR, WEFT_CHAR: WARP_CHAR})
         return Design(self.width, self.height, tuple(row.translate(table) for row in self.rows))
-
-    def equal_up_to_translation(self, other: "Design") -> bool:
-        """True iff some translate of ``other`` matches this design cell-for-cell."""
-        w = math.lcm(self.width, other.width)
-        h = math.lcm(self.height, other.height)
-        for dx in range(w):
-            for dy in range(h):
-                if all(
-                    self.warp_up(x, y) == other.warp_up(x - dx, y - dy)
-                    for y in range(h)
-                    for x in range(w)
-                ):
-                    return True
-        return False
 
 
 def _least_period(a: np.ndarray) -> int:

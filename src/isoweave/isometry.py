@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from isoweave.design import Cell, Direction, Strand
-
 Matrix = tuple[tuple[int, int], tuple[int, int]]
 
 
@@ -152,28 +150,21 @@ def act_on_doubled(g: Isometry, p: tuple[int, int]) -> tuple[int, int]:
     return (mv[0] + g.shift[0], mv[1] + g.shift[1])
 
 
-def act_on_cell(g: Isometry, c: Cell) -> Cell:
-    """Image cell of ``c``; requires an even (cell-preserving) shift."""
-    if not g.preserves_cells:
-        raise ValueError(f"isometry does not preserve cells: {g}")
-    u, v = act_on_doubled(g, (2 * c.x + 1, 2 * c.y + 1))
-    return Cell((u - 1) // 2, (v - 1) // 2)
+def strand_map(g: Isometry) -> tuple[bool, tuple[int, int], tuple[int, int]]:
+    """How ``g`` moves strands: ``(swaps, warp, weft)``.
 
-
-def act_on_strand(g: Isometry, s: Strand) -> Strand:
-    """Image strand of ``s``: a warp maps to a warp, or to a weft when the
-    point part swaps directions (and vice versa)."""
+    ``swaps`` is True when warps go to wefts and wefts to warps.  ``warp``
+    and ``weft`` are ``(coeff, offset)`` pairs: strand k of that direction
+    goes to strand ``(coeff * (2k + 1) + offset - 1) // 2`` of its image
+    direction.  Requires an even (cell-preserving) shift.
+    """
     if not g.preserves_cells:
         raise ValueError(f"isometry does not preserve cells: {g}")
     m = g.point.matrix
-    doubled = 2 * s.index + 1
-    if s.direction == Direction.WARP:
-        if g.point.swaps_directions:
-            return Strand(Direction.WEFT, (m[1][0] * doubled + g.shift[1] - 1) // 2)
-        return Strand(Direction.WARP, (m[0][0] * doubled + g.shift[0] - 1) // 2)
+    sx, sy = g.shift
     if g.point.swaps_directions:
-        return Strand(Direction.WARP, (m[0][1] * doubled + g.shift[0] - 1) // 2)
-    return Strand(Direction.WEFT, (m[1][1] * doubled + g.shift[1] - 1) // 2)
+        return True, (m[1][0], sy), (m[0][1], sx)
+    return False, (m[0][0], sx), (m[1][1], sy)
 
 
 # -- geometric classification -------------------------------------------

@@ -16,8 +16,7 @@ a square: a direction-swapping symmetry would turn the period (w, 0) into
 parts are skipped otherwise.  Cells become +1 (warp up) and -1 (weft up),
 and one batched FFT correlates the design with its pre-images under the
 point parts: a correlation of +wh at a shift means every raised value is
-kept, -wh means every one is complemented.  The reported ``period`` is
-still the lcm of the sides of the rectangle the design was given on.
+kept, -wh means every one is complemented.
 
 The group is stored as a translation lattice plus finitely many coset
 representatives.  ``axis_inventory`` expands that into the geometric
@@ -31,20 +30,20 @@ families, and a family of pure mirrors can sit next to a family of glides.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from isoweave.design import Design, Direction, Strand
+from isoweave.design import Design
 from isoweave.isometry import (
     Isometry,
     PointPart,
     Side,
     _centre_kind,
-    act_on_strand,
     classify,
+    strand_map,
     translation,
 )
 
@@ -169,7 +168,6 @@ class SymmetryGroup:
     always including the identity.
     """
 
-    period: int
     translations: Lattice
     extended_translations: Lattice
     reps: tuple[Isometry, ...]
@@ -194,15 +192,6 @@ class SymmetryGroup:
                 return rep.side == iso.side
         return False
 
-    def contains_ignoring_side(self, point: PointPart, cell_shift: tuple[int, int]) -> bool:
-        for rep in self.reps:
-            if rep.point != point:
-                continue
-            r = (rep.shift[0] // 2, rep.shift[1] // 2)
-            if self.translations.contains((cell_shift[0] - r[0], cell_shift[1] - r[1])):
-                return True
-        return False
-
     def side_reversing_translation(self) -> tuple[int, int] | None:
         """A cell shift mapping the design to its complement, if one exists."""
         for rep in self.reps:
@@ -212,6 +201,10 @@ class SymmetryGroup:
 
 
 _POINT_ORDER = {p: i for i, p in enumerate(PointPart)}
+
+#: Largest minimal period rectangle ``find_symmetries`` accepts, in cells.
+#: Its FFT arrays take about 570 bytes per cell (150 MB at 512 x 512).
+MAX_CELLS = 512 * 512
 
 
 @lru_cache(maxsize=None)
@@ -234,11 +227,16 @@ def find_symmetries(design: Design) -> SymmetryGroup:
     For any other point part and side, the matching shifts form one coset
     of that lattice, so one shift, reduced, is its representative.
 
-    ``period`` stays the lcm of the *given* rectangle's sides: it is the
-    window ``is_isonemal`` counts strand classes in, and reports print it.
+    Raises ValueError when the minimal rectangle has more than
+    ``MAX_CELLS`` cells.
     """
     d = design.minimal()
     w, h = d.width, d.height
+    if w * h > MAX_CELLS:
+        raise ValueError(
+            f"minimal period {w}x{h} has {w * h} cells, more than the {MAX_CELLS} "
+            "the symmetry search accepts"
+        )
     points = [p for p in PointPart if w == h or not p.swaps_directions]
     signs = np.where(d.to_array(), 1.0, -1.0)
     # point part M sends cell (x, y) to (M (2x + 1, 2y + 1) - 1) // 2; the
@@ -270,7 +268,6 @@ def find_symmetries(design: Design) -> SymmetryGroup:
             extended.append(t)
     reps.sort(key=lambda g: (_POINT_ORDER[g.point], g.side.value, g.shift[1], g.shift[0]))
     return SymmetryGroup(
-        period=math.lcm(design.width, design.height),
         translations=lattice,
         extended_translations=Lattice.from_vectors(extended),
         reps=tuple(reps),
@@ -327,18 +324,24 @@ def _reaches_all(adjacency: list[list[int]]) -> bool:
 
 
 def is_isonemal(design: Design) -> bool:
-    """True iff the symmetry group is transitive on the strands."""
-    group = find_symmetries(design)
-    L = group.period
-    gens = group.generators()
-    seen = {0}  # strand classes modulo L: warps are 0..L-1, wefts L..2L-1
+    """True iff the symmetry group is transitive on the strands.
+
+    Strands are walked in classes modulo L = lcm(w, h) of the minimal
+    period rectangle: (L, 0) and (0, L) are translations of the design, so
+    every symmetry carries whole classes to whole classes.
+    """
+    d = design.minimal()
+    L = math.lcm(d.width, d.height)
+    maps = [strand_map(g) for g in find_symmetries(design).generators()]
+    seen = {0}  # warps are 0..L-1, wefts L..2L-1
     stack = [0]
     while stack:
         cls = stack.pop()
-        strand = Strand(Direction.WARP, cls) if cls < L else Strand(Direction.WEFT, cls - L)
-        for g in gens:
-            image = act_on_strand(g, strand)
-            key = image.index % L + (0 if image.direction == Direction.WARP else L)
+        is_weft = cls >= L
+        k = cls - L if is_weft else cls
+        for swaps, warp, weft in maps:
+            coeff, offset = weft if is_weft else warp
+            key = (coeff * (2 * k + 1) + offset - 1) // 2 % L + (L if is_weft != swaps else 0)
             if key not in seen:
                 seen.add(key)
                 stack.append(key)
@@ -347,10 +350,10 @@ def is_isonemal(design: Design) -> bool:
 
 def subgroup_check(sub: SymmetryGroup, sup: SymmetryGroup) -> bool:
     """True iff every symmetry in ``sub`` is one in ``sup``, sides ignored."""
-    for g in sub.generators():
-        if not sup.contains_ignoring_side(g.point, (g.shift[0] // 2, g.shift[1] // 2)):
-            return False
-    return True
+    return all(
+        sup.contains(g) or sup.contains(replace(g, side=g.side * Side.REVERSING))
+        for g in sub.generators()
+    )
 
 
 # -- translation lattice report -----------------------------------------

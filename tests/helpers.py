@@ -2,13 +2,14 @@
 
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from isoweave.colouring import Striping
-from isoweave.design import Cell, Design, Direction, Strand, reverse
-from isoweave.isometry import Isometry, PointPart, Side, act_on_cell, act_on_strand
+from isoweave.design import Design, Direction, Strand, reverse
+from isoweave.isometry import Isometry, PointPart, Side, act_on_doubled
 from isoweave.svg import (
     WARP_FILL,
     WEFT_FILL,
@@ -27,6 +28,72 @@ from isoweave.symmetry import (
     axis_inventory,
     find_symmetries,
 )
+
+
+@dataclass(frozen=True)
+class Cell:
+    """A grid cell, addressed by column x and row y."""
+
+    x: int
+    y: int
+
+
+def act_on_cell(g: Isometry, c: Cell) -> Cell:
+    """Image cell of ``c``; requires an even (cell-preserving) shift."""
+    if not g.preserves_cells:
+        raise ValueError(f"isometry does not preserve cells: {g}")
+    u, v = act_on_doubled(g, (2 * c.x + 1, 2 * c.y + 1))
+    return Cell((u - 1) // 2, (v - 1) // 2)
+
+
+def act_on_strand(g: Isometry, s: Strand) -> Strand:
+    """Image strand of ``s``, read off the images of two cells on it: the
+    column (a warp) or row (a weft) that both image cells share.  Tests
+    compare the library's ``strand_map`` with it."""
+    if s.direction == Direction.WARP:
+        a, b = act_on_cell(g, Cell(s.index, 0)), act_on_cell(g, Cell(s.index, 1))
+    else:
+        a, b = act_on_cell(g, Cell(0, s.index)), act_on_cell(g, Cell(1, s.index))
+    if a.x == b.x:
+        return Strand(Direction.WARP, a.x)
+    assert a.y == b.y
+    return Strand(Direction.WEFT, a.y)
+
+
+def equal_up_to_translation(d: Design, e: Design) -> bool:
+    """True iff some translate of ``e`` matches ``d`` cell-for-cell."""
+    w = math.lcm(d.width, e.width)
+    h = math.lcm(d.height, e.height)
+    for dx in range(w):
+        for dy in range(h):
+            if all(
+                d.warp_up(x, y) == e.warp_up(x - dx, y - dy)
+                for y in range(h)
+                for x in range(w)
+            ):
+                return True
+    return False
+
+
+def strand_orbit_isonemal(design: Design) -> bool:
+    """Reference for ``is_isonemal``: the orbit of warp 0 is walked with
+    ``Strand`` objects and ``act_on_strand``, in classes modulo the lcm of
+    the sides the design is given on."""
+    group = find_symmetries(design)
+    L = math.lcm(design.width, design.height)
+    gens = group.generators()
+    seen = {0}  # strand classes modulo L: warps are 0..L-1, wefts L..2L-1
+    stack = [0]
+    while stack:
+        cls = stack.pop()
+        strand = Strand(Direction.WARP, cls) if cls < L else Strand(Direction.WEFT, cls - L)
+        for g in gens:
+            image = act_on_strand(g, strand)
+            key = image.index % L + (0 if image.direction == Direction.WARP else L)
+            if key not in seen:
+                seen.add(key)
+                stack.append(key)
+    return len(seen) == 2 * L
 
 
 def pointwise_symmetry_check(design: Design, iso: Isometry) -> bool:
@@ -144,7 +211,6 @@ def lcm_square_symmetries(design: Design) -> SymmetryGroup:
                 extended = extended + [t]
     reps.sort(key=lambda g: (_POINT_ORDER[g.point], g.side.value, g.shift[1], g.shift[0]))
     return SymmetryGroup(
-        period=L,
         translations=lattice,
         extended_translations=Lattice.from_vectors(extended),
         reps=tuple(reps),

@@ -112,6 +112,17 @@ def test_search_disjoint_mode(capsys, monkeypatch):
     assert out == "c=4 warp=0,1 weft=2,3\n"
 
 
+def test_search_refuses_an_oversized_palette(capsys, monkeypatch):
+    code, out, err = _run(
+        capsys,
+        ["search", "--colours", "12"],
+        stdin=serialise(twill("2/1")),
+        monkeypatch=monkeypatch,
+    )
+    assert code == 1 and out == ""
+    assert "479001600" in err and "2000000" in err
+
+
 def test_place_matches_search(capsys, monkeypatch):
     code, out, _ = _run(
         capsys,

@@ -6,6 +6,7 @@ striping to advance the weft palette by one per row, and the oblique
 mirror/glide cosets then fix the unique compatible offset.
 """
 
+import math
 import random
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 from helpers import per_strand_stripes_preserved, random_design
 from isoweave.design import Design, permutation_design, plain_weave, twill
 from isoweave.colouring import (
+    MAX_CANDIDATES,
     ColourSetsRelation,
     Striping,
     colour_sets_relation,
@@ -171,7 +173,7 @@ def test_conflict_witness_strands_disagree():
     a, b = report.conflict.strand_a, report.conflict.strand_b
     s = Striping(3, (0, 1), (2,))
     assert s.strand_colour(a) == s.strand_colour(b)
-    from isoweave.isometry import act_on_strand
+    from helpers import act_on_strand
 
     assert s.strand_colour(act_on_strand(g, a)) != s.strand_colour(act_on_strand(g, b))
 
@@ -242,6 +244,26 @@ def test_thick_search_contains_thin_results():
     assert [s for s in thick if is_thin(s)] == list(thin)
 
 
+def test_search_refuses_an_oversized_candidate_space(monkeypatch):
+    # the cap admits thin palettes up to 9 colours and thick ones up to 3
+    # at the default max_len (2c), and nothing beyond
+    assert math.factorial(9) <= MAX_CANDIDATES < math.factorial(10)
+    assert sum(3**n for n in range(1, 7)) ** 2 <= MAX_CANDIDATES < sum(4**n for n in range(1, 9)) ** 2
+
+    def no_check(*args):
+        raise AssertionError("a candidate was checked")
+
+    monkeypatch.setattr("isoweave.colouring.is_perfect", no_check)
+    with pytest.raises(ValueError, match=f"{math.factorial(10)} .*{MAX_CANDIDATES}"):
+        search_stripings(twill("7/1"), 10)
+    with pytest.raises(ValueError, match=f"{sum(4**n for n in range(1, 9)) ** 2} "):
+        search_stripings(twill("2/1"), 4, thin=False)
+    # an absurd palette is refused at once, with a lower bound
+    for thin in (True, False):
+        with pytest.raises(ValueError, match="at least"):
+            search_stripings(twill("2/1"), 100_000, thin=thin)
+
+
 def test_disjoint_standard_is_found_for_any_design():
     rng = random.Random(15)
     for _ in range(10):
@@ -255,6 +277,17 @@ def test_disjoint_standard_is_found_for_any_design():
 def test_placement_matches_search_on_reference_twills():
     for spec, c in (("2/1", 3), ("4/1", 5), ("5/1", 6), ("2/2", 4), ("3/1", 4)):
         assert constructive_placement(twill(spec), c) == search_stripings(twill(spec), c)
+
+
+def test_placement_is_the_twilly_part_of_search(enumerated_designs, isonemal_pool):
+    cases = [(d, c) for d in enumerated_designs[::20] for c in range(2, 6)]
+    cases += [(d, c) for d in isonemal_pool for c in range(2, 7)]
+    placed = 0
+    for d, c in cases:
+        found = search_stripings(d, c)
+        assert constructive_placement(d, c) == tuple(s for s in found if is_twilly(s)), (d, c)
+        placed += sum(is_twilly(s) for s in found)
+    assert placed > len(isonemal_pool)
 
 
 def test_placement_twill_2_1():

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from helpers import equal_up_to_translation
 from isoweave.design import (
     Design,
     ParseError,
@@ -39,12 +40,12 @@ def test_parse_top_line_is_highest_row():
     # first grid line is y = 1, so the warp-up cells are (0,1) and (1,0)
     assert d.warp_up(0, 1) and d.warp_up(1, 0)
     assert not d.warp_up(0, 0) and not d.warp_up(1, 1)
-    assert d.equal_up_to_translation(plain_weave())
+    assert equal_up_to_translation(d, plain_weave())
 
 
 def test_parse_known_twill_fragment():
     d = parse_design("design 3 3\n##.\n#.#\n.##\n")
-    assert d.equal_up_to_translation(twill("2/1"))
+    assert equal_up_to_translation(d, twill("2/1"))
 
 
 def test_serialise_ends_with_newline_and_reparses():
@@ -186,9 +187,9 @@ def test_reverse_is_complement_in_place():
 
 
 def test_reverse_of_twill_swaps_runs():
-    assert reverse(twill("2/1")).equal_up_to_translation(twill("1/2"))
-    assert reverse(twill("3/1")).equal_up_to_translation(twill("1/3"))
-    assert reverse(plain_weave()).equal_up_to_translation(plain_weave())
+    assert equal_up_to_translation(reverse(twill("2/1")), twill("1/2"))
+    assert equal_up_to_translation(reverse(twill("3/1")), twill("1/3"))
+    assert equal_up_to_translation(reverse(plain_weave()), plain_weave())
 
 
 def test_permutation_design_rows_and_columns():
@@ -202,6 +203,6 @@ def test_permutation_design_rows_and_columns():
 def test_equal_up_to_translation_handles_different_periods():
     d = twill("2/1")
     big = Design(6, 6, tuple("".join("#" if d.warp_up(x, y) else "." for x in range(6)) for y in range(6)))
-    assert d.equal_up_to_translation(big)
-    assert big.equal_up_to_translation(d.translated(2, 5))
-    assert not d.equal_up_to_translation(twill("1/2"))
+    assert equal_up_to_translation(d, big)
+    assert equal_up_to_translation(big, d.translated(2, 5))
+    assert not equal_up_to_translation(d, twill("1/2"))

@@ -10,18 +10,18 @@ from fractions import Fraction
 
 import pytest
 
-from isoweave.design import Cell, Direction, Strand
+from helpers import Cell, act_on_cell, act_on_strand
+from isoweave.design import Direction, Strand
 from isoweave.isometry import (
     Isometry,
     PointPart,
     Side,
-    act_on_cell,
     act_on_doubled,
-    act_on_strand,
     classify,
     compose,
     identity,
     invert,
+    strand_map,
     translation,
 )
 
@@ -118,6 +118,25 @@ def test_strand_action_is_compatible_with_composition():
         h = random_isometry(rng, even=True)
         s = Strand(rng.choice([Direction.WARP, Direction.WEFT]), rng.randrange(-4, 5))
         assert act_on_strand(compose(g, h), s) == act_on_strand(g, act_on_strand(h, s))
+
+
+def test_strand_map_matches_the_cell_image_oracle():
+    rng = random.Random(7)
+    for _ in range(300):
+        g = random_isometry(rng, even=True)
+        swaps, warp, weft = strand_map(g)
+        for direction, (coeff, offset) in ((Direction.WARP, warp), (Direction.WEFT, weft)):
+            k = rng.randrange(-9, 10)
+            image = act_on_strand(g, Strand(direction, k))
+            assert (image.direction != direction) == swaps
+            assert image.index == (coeff * (2 * k + 1) + offset - 1) // 2
+
+
+def test_strand_map_requires_even_shift():
+    for point in ALL_POINTS:
+        for shift in ((1, 0), (0, 1), (1, 1), (-3, 2)):
+            with pytest.raises(ValueError, match="does not preserve cells"):
+                strand_map(Isometry(point, shift))
 
 
 # -- classification ------------------------------------------------------

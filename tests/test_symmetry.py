@@ -8,15 +8,21 @@ run structure before being pinned here.
 
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import lcm_square_symmetries, pointwise_symmetry_check, random_design
+from helpers import (
+    equal_up_to_translation,
+    lcm_square_symmetries,
+    pointwise_symmetry_check,
+    random_design,
+    strand_orbit_isonemal,
+)
 from isoweave.design import Design, permutation_design, plain_weave, twill
 from isoweave.isometry import Isometry, PointPart, Side, compose, invert, translation
 from isoweave.symmetry import (
@@ -114,16 +120,14 @@ def test_find_symmetries_matches_the_lcm_square_reference(enumerated_designs, is
     for d in enumerated_designs + isonemal_pool + randoms:
         reference[d] = lcm_square_symmetries(d)
         assert find_symmetries(d) == reference[d], d
-    # A tiled copy is the same fabric, so its group differs only in the
-    # period, the lcm of the sides as given.  Where the reference can
-    # afford the tiled square, it confirms that directly.
+    # A tiled copy is the same fabric, so it has the same group.  Where
+    # the reference can afford the tiled square, it confirms that directly.
     for d in randoms:
         for kx, ky in ((2, 1), (1, 3), (2, 2)):
             t = tiled(d, kx, ky)
-            expected = replace(reference[d], period=math.lcm(t.width, t.height))
-            assert find_symmetries(t) == expected, t
-            if expected.period <= 12:
-                assert lcm_square_symmetries(t) == expected, t
+            assert find_symmetries(t) == reference[d], t
+            if math.lcm(t.width, t.height) <= 12:
+                assert lcm_square_symmetries(t) == reference[d], t
 
 
 _grids = st.integers(1, 8).flatmap(
@@ -318,7 +322,7 @@ def test_two_glide_direction_patterns_form_one_class():
             found.append(perm)
     assert len(found) == 16
     base = axial_glide_pattern()
-    assert all(permutation_design(p).equal_up_to_translation(base) for p in found)
+    assert all(equal_up_to_translation(permutation_design(p), base) for p in found)
 
 
 def test_axial_glide_pattern_inventory():
@@ -362,6 +366,27 @@ def test_is_isonemal():
     assert not is_isonemal(Design(2, 2, ("##", "#.")))
 
 
+def test_is_isonemal_matches_the_strand_orbit_oracle(enumerated_designs, isonemal_pool):
+    rng = random.Random(1079)
+    randoms = [random_design(rng, 7) for _ in range(300)]
+    tilings = [
+        tiled(d, kx, ky) for d in isonemal_pool + randoms for kx, ky in ((2, 1), (1, 3), (2, 2))
+    ]
+    verdicts = []
+    for d in enumerated_designs + isonemal_pool + randoms + tilings:
+        verdicts.append(is_isonemal(d))
+        assert verdicts[-1] == strand_orbit_isonemal(d), d
+    assert sum(verdicts) > len(isonemal_pool) and not all(verdicts)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.one_of(_grids, _permutation_designs, _twills))
+def test_is_isonemal_is_unchanged_by_tiling(d):
+    expected = is_isonemal(d)
+    for kx, ky in ((2, 1), (1, 2), (2, 2)):
+        assert is_isonemal(tiled(d, kx, ky)) == expected, (kx, ky)
+
+
 def test_hangs_together():
     for spec in ("1/1", "2/1", "3/1", "2/2", "3/3"):
         assert hangs_together(twill(spec))
@@ -370,6 +395,26 @@ def test_hangs_together():
     # a floating-strand mix: warp 0 always up, the rest plain weave
     d = Design(4, 2, ("#.#.", "##.#"))
     assert not hangs_together(d)
+
+
+def test_find_symmetries_refuses_an_oversized_minimal_rectangle(monkeypatch):
+    rng = random.Random(513)
+    big = Design(513, 512, tuple("".join(rng.choice("#.") for _ in range(513)) for _ in range(512)))
+
+    def no_fft(*args, **kwargs):
+        raise AssertionError("an FFT array was built")
+
+    monkeypatch.setattr(np.fft, "fft2", no_fft)
+    with pytest.raises(ValueError, match="513x512"):
+        find_symmetries(big)
+
+
+def test_find_symmetries_accepts_a_large_tiling_of_a_small_period():
+    plain = plain_weave()
+    big = tiled(plain, 300, 300)
+    assert (big.width, big.height) == (600, 600)
+    assert find_symmetries(big) == find_symmetries(plain)
+    assert is_isonemal(big)
 
 
 def test_find_symmetries_is_cached():
