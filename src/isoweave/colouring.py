@@ -25,7 +25,7 @@ from operator import mul
 
 import numpy as np
 
-from isoweave.design import Design, Direction, Strand, permutation_design
+from isoweave.design import Design, Direction, Strand, _least_period, permutation_design
 from isoweave.isometry import Isometry, PointPart, strand_map
 from isoweave.symmetry import (
     find_symmetries,
@@ -41,6 +41,11 @@ class ColourSetsRelation(Enum):
     EQUAL = "equal"
     DISJOINT = "disjoint"
     MIXED = "mixed"
+
+
+def _check_palette(colours: int) -> None:
+    if colours < 1:
+        raise ValueError(f"palette must have at least one colour, got {colours}")
 
 
 _STRIPING_RE = re.compile(r"c=(\d+)\s+warp=([\d,]+)\s+weft=([\d,]+)\s*$")
@@ -59,8 +64,7 @@ class Striping:
     weft_seq: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.colours < 1:
-            raise ValueError(f"palette must have at least one colour, got {self.colours}")
+        _check_palette(self.colours)
         for name, seq in (("warp", self.warp_seq), ("weft", self.weft_seq)):
             if not seq:
                 raise ValueError(f"{name} sequence must be nonempty")
@@ -122,13 +126,10 @@ def visible(design: Design, striping: Striping) -> np.ndarray:
     """
     width = math.lcm(design.width, len(striping.warp_seq))
     height = math.lcm(design.height, len(striping.weft_seq))
-    out = np.empty((height, width), dtype=int)
-    for y in range(height):
-        for x in range(width):
-            out[y, x] = (
-                striping.warp_colour(x) if design.warp_up(x, y) else striping.weft_colour(y)
-            )
-    return out
+    up = np.tile(design.to_array(), (height // design.height, width // design.width))
+    warp = np.resize(striping.warp_seq, width)[None, :]
+    weft = np.resize(striping.weft_seq, height)[:, None]
+    return np.where(up, warp, weft)
 
 
 @dataclass(frozen=True)
@@ -242,21 +243,24 @@ def _strand_actions(striping: Striping, iso: Isometry):
 
 
 def _transport(
-    striping: Striping, iso: Isometry, n: int
+    striping: Striping, iso: Isometry
 ) -> tuple[tuple[int, ...] | None, Conflict | None]:
     """The palette permutation induced by one isometry's strand action.
 
-    Checks every strand class over a combined period of length ``n``.
-    Returns (permutation, None), with unused colours mapped among
-    themselves in sorted order, or (None, conflict) when two strands of
-    one colour land on different colours or two colours collide.
+    A strand map is affine with slope +-1, so in each direction the pairs
+    (colour, image colour) repeat with period lcm(len(source),
+    len(image)); every pair first occurs within the first period, which
+    is all that is scanned.  Returns (permutation, None), with unused
+    colours mapped among themselves in sorted order, or (None, conflict)
+    when two strands of one colour land on different colours or two
+    colours collide.
     """
     c = striping.colours
     mapping: list[int | None] = [None] * c
     setter: list[tuple[Direction, int] | None] = [None] * c
     for direction, src, coeff, off, img in _strand_actions(striping, iso):
         ls, li = len(src), len(img)
-        for k in range(n):
+        for k in range(math.lcm(ls, li)):
             a = src[k % ls]
             b = img[((coeff * (2 * k + 1) + off - 1) // 2) % li]
             prev = mapping[a]
@@ -279,12 +283,6 @@ def _transport(
     return tuple(mapping), None
 
 
-def _combined_period(design: Design, striping: Striping) -> int:
-    return math.lcm(
-        design.width, design.height, len(striping.warp_seq), len(striping.weft_seq)
-    )
-
-
 def induced_permutation(
     design: Design, striping: Striping, iso: Isometry
 ) -> tuple[int, ...] | None:
@@ -294,7 +292,7 @@ def induced_permutation(
     generators reported by `is_perfect`; on a perfect striping the map
     from group elements to permutations is a homomorphism.
     """
-    perm, _ = _transport(striping, iso, _combined_period(design, striping))
+    perm, _ = _transport(striping, iso)
     return perm
 
 
@@ -305,13 +303,12 @@ def is_perfect(design: Design, striping: Striping) -> ColouringReport:
     permutation form a subgroup.
     """
     group = find_symmetries(design)
-    n = _combined_period(design, striping)
     perms = []
     for g in group.generators():
         if g.point is PointPart.IDENTITY and g.shift == (0, 0):
             perms.append((g, tuple(range(striping.colours))))
             continue
-        perm, conflict = _transport(striping, g, n)
+        perm, conflict = _transport(striping, g)
         if perm is None:
             return ColouringReport(False, conflict, ())
         perms.append((g, perm))
@@ -321,12 +318,12 @@ def is_perfect(design: Design, striping: Striping) -> ColouringReport:
 def stripes_preserved(design: Design, striping: Striping) -> bool:
     """True iff every symmetry of the design maps stripe boundaries to
     stripe boundaries (weaker than perfection: colours may scramble as
-    long as the stripe layout survives)."""
-    n = _combined_period(design, striping)
+    long as the stripe layout survives).  Like the perfection check, it
+    scans lcm(len(source), len(image)) strands per direction."""
     for g in find_symmetries(design).generators():
         for _, src, coeff, off, img in _strand_actions(striping, g):
             ls, li = len(src), len(img)
-            for k in range(n):
+            for k in range(math.lcm(ls, li)):
                 if src[k % ls] == src[(k + 1) % ls]:
                     continue  # not a boundary
                 # strand k + 1 maps to the image of strand k plus coeff
@@ -341,11 +338,6 @@ def stripes_preserved(design: Design, striping: Striping) -> bool:
 #: Most candidates ``search_stripings`` will try: thin equal palettes up
 #: to nine colours, thick ones up to three at the default ``max_len``.
 MAX_CANDIDATES = 2_000_000
-
-
-def _minimal_period(seq: tuple[int, ...]) -> bool:
-    n = len(seq)
-    return all(n % p != 0 or seq != seq[:p] * (n // p) for p in range(1, n))
 
 
 def _canonical_labels(warp: tuple[int, ...], weft: tuple[int, ...]) -> bool:
@@ -376,12 +368,17 @@ def search_stripings(
     sequence pairs up to ``max_len`` (default 2c) per direction, in
     first-use canonical labelling, filtered to the requested relation.
 
-    Raises ValueError, before building any candidate, when the candidate
-    count is estimated above ``MAX_CANDIDATES``: c! for thin equal
-    palettes, and (c + c^2 + ... + c^max_len)^2 for thick ones.
+    Raises ValueError at once for an empty palette or, for thick
+    stripings, a ``max_len`` below 1.  Raises it too, before building any
+    candidate, when the candidate count is estimated above
+    ``MAX_CANDIDATES``: c! for thin equal palettes, and
+    (c + c^2 + ... + c^max_len)^2 for thick ones.
     """
+    _check_palette(colours)
     c = colours
     limit = 2 * c if max_len is None else max_len
+    if not thin and limit < 1:
+        raise ValueError(f"max_len must be at least 1, got {max_len}")
     # the estimate is built up term by term and cut short far past the
     # cap, so an absurd palette is refused at once
     if not thin:
@@ -416,7 +413,7 @@ def search_stripings(
             seq
             for length in range(1, limit + 1)
             for seq in product(range(c), repeat=length)
-            if _minimal_period(seq)
+            if _least_period(seq) == length
         ]
         for warp, weft in product(seqs, repeat=2):
             if not _canonical_labels(warp, weft):
@@ -441,8 +438,10 @@ def constructive_placement(design: Design, colours: int) -> tuple[Striping, ...]
     design's symmetries must all be symmetries of the candidate's
     redundancy pattern).  Survivors are certified with the full
     perfection check, so the result is always a subset of
-    ``search_stripings(design, colours)``.
+    ``search_stripings(design, colours)``.  Raises ValueError for an
+    empty palette.
     """
+    _check_palette(colours)
     c = colours
     if c > 2 and has_quarter_turn(design):
         return ()

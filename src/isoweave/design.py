@@ -100,14 +100,14 @@ class Design:
 
     @property
     def order(self) -> int:
-        """Least common period of the over/under sequence along all strands."""
-        n = 1
-        for x in range(self.width):
-            col = "".join(self.rows[y][x] for y in range(self.height))
-            n = math.lcm(n, _min_cyclic_period(col))
-        for row in self.rows:
-            n = math.lcm(n, _min_cyclic_period(row))
-        return n
+        """Least common period of the over/under sequence along all strands.
+
+        The lcm of the rows' periods is the minimal width and that of the
+        columns' periods the minimal height, so this is the lcm of the
+        sides of ``minimal()``.
+        """
+        d = self.minimal()
+        return math.lcm(d.width, d.height)
 
     # -- simple transforms ----------------------------------------------
 
@@ -125,17 +125,11 @@ class Design:
         return Design(self.width, self.height, tuple(row.translate(table) for row in self.rows))
 
 
-def _least_period(a: np.ndarray) -> int:
-    """Least p dividing ``len(a)`` with ``a`` periodic under a shift by p."""
+def _least_period(a: np.ndarray | tuple[int, ...]) -> int:
+    """Least p dividing ``len(a)`` with ``a`` periodic under a shift by p;
+    ``a`` is an array (shifted along its first axis) or a sequence."""
     n = len(a)
-    return next(p for p in range(1, n + 1) if n % p == 0 and (a[p:] == a[:-p]).all())
-
-
-def _min_cyclic_period(s: str) -> int:
-    for p in range(1, len(s) + 1):
-        if len(s) % p == 0 and s == s[:p] * (len(s) // p):
-            return p
-    return len(s)
+    return next(p for p in range(1, n + 1) if n % p == 0 and np.array_equal(a[p:], a[:-p]))
 
 
 # -- construction --------------------------------------------------------

@@ -109,19 +109,16 @@ class Lattice:
     def scaled(self, factor: int) -> "Lattice":
         return Lattice(self.a * factor, self.b * factor, self.d * factor)
 
-    def diagonal_step(self) -> int:
-        """Least t > 0 with (t, t) in the lattice."""
-        t = 1
-        while not self.contains((t, t)):
-            t += 1
-        return t
+    def order(self, v: tuple[int, int]) -> int:
+        """Least k > 0 with k * v in the lattice.
 
-    def antidiagonal_step(self) -> int:
-        """Least t > 0 with (t, -t) in the lattice."""
-        t = 1
-        while not self.contains((t, -t)):
-            t += 1
-        return t
+        k * v_y must be a multiple of d, so k is a multiple of
+        k0 = d / gcd(d, v_y); k0 * v reduces to (x, 0), and its least
+        multiple in the lattice is a / gcd(a, x) times it.
+        """
+        k = self.d // math.gcd(self.d, v[1])
+        x = self.reduce((k * v[0], k * v[1]))[0]
+        return k * self.a // math.gcd(self.a, x)
 
     def solve_functional(self, cx: int, cy: int):
         """For the map f(v) = cx*vx + cy*vy on the lattice, return
@@ -326,12 +323,12 @@ def _reaches_all(adjacency: list[list[int]]) -> bool:
 def is_isonemal(design: Design) -> bool:
     """True iff the symmetry group is transitive on the strands.
 
-    Strands are walked in classes modulo L = lcm(w, h) of the minimal
-    period rectangle: (L, 0) and (0, L) are translations of the design, so
-    every symmetry carries whole classes to whole classes.
+    Strands are walked in classes modulo L = ``design.order``, the lcm of
+    the minimal period rectangle's sides: (L, 0) and (0, L) are
+    translations of the design, so every symmetry carries whole classes
+    to whole classes.
     """
-    d = design.minimal()
-    L = math.lcm(d.width, d.height)
+    L = design.order
     maps = [strand_map(g) for g in find_symmetries(design).generators()]
     seen = {0}  # warps are 0..L-1, wefts L..2L-1
     stack = [0]
@@ -386,8 +383,8 @@ class LatticeUnitsReport:
 
 
 def _units(lattice: Lattice) -> LatticeUnits:
-    p = lattice.diagonal_step()
-    q = lattice.antidiagonal_step()
+    p = lattice.order((1, 1))
+    q = lattice.order((1, -1))
     return LatticeUnits(
         v1=lattice.v1,
         v2=lattice.v2,

@@ -2,9 +2,11 @@
 
 A period parallelogram of a coloured weave can have its opposite sides
 identified, turning the infinite plane into a torus.  The parallelogram
-must repeat both the interlacement and the colouring; a basis that is a
-period of the design alone may need each vector multiplied to bring the
-colours back into phase.
+must repeat both the interlacement and the colouring: each side must lie
+in the translation lattice of the design's symmetry group and be a
+multiple of the stripe periods.  A basis that is a period of the design
+alone may need each vector multiplied to bring the colours back into
+phase.
 
 Two basis shapes cover the cases of interest.  An axis-aligned square of
 side N uses vectors (N, 0) and (0, N).  A diagonal rectangle with sides
@@ -30,7 +32,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from isoweave.colouring import Striping
-from isoweave.design import Design, _min_cyclic_period
+from isoweave.design import Design, _least_period
+from isoweave.symmetry import Lattice, find_symmetries
 
 __all__ = [
     "BandReport",
@@ -126,57 +129,36 @@ class BandReport:
 # -- validation ----------------------------------------------------------
 
 
-def _fixes_design(design: Design, dx: int, dy: int) -> bool:
-    return all(
-        design.warp_up(x + dx, y + dy) == design.warp_up(x, y)
-        for y in range(design.height)
-        for x in range(design.width)
-    )
-
-
-def _fixes_striping(striping: Striping, dx: int, dy: int) -> bool:
-    return (
-        dx % _min_cyclic_period(striping.warp_seq) == 0
-        and dy % _min_cyclic_period(striping.weft_seq) == 0
-    )
-
-
-def _fixes_pattern(design: Design, striping: Striping, v: tuple[int, int]) -> bool:
-    return _fixes_design(design, *v) and _fixes_striping(striping, *v)
+def _order(design: Design, striping: Striping, v: tuple[int, int]) -> int:
+    """Least k > 0 with k * v a period of the coloured pattern: the lcm of
+    the orders of v in the design's translation lattice and in the
+    stripes' lattice, spanned by the least periods of the two sequences."""
+    stripes = Lattice(_least_period(striping.warp_seq), 0, _least_period(striping.weft_seq))
+    return math.lcm(find_symmetries(design).translations.order(v), stripes.order(v))
 
 
 def validate_torus(design: Design, striping: Striping, basis: TorusBasis) -> bool:
     """True iff both basis vectors are periods of the coloured pattern.
 
-    Each vector must translate the design onto itself and return every
-    stripe to its own colour; for a diagonal rectangle with a thin
+    Each vector must lie in the translation lattice of the design's
+    symmetry group, so that it maps the design onto itself, and return
+    every stripe to its own colour; for a diagonal rectangle with a thin
     equal-palette striping on c colours this comes down to c dividing
-    both side lengths.
+    both side lengths.  Raises ValueError, from ``find_symmetries``,
+    when the design's minimal period rectangle is too large.
     """
-    return _fixes_pattern(design, striping, basis.v1) and _fixes_pattern(
-        design, striping, basis.v2
-    )
+    return all(_order(design, striping, v) == 1 for v in (basis.v1, basis.v2))
 
 
 def inflate(design: Design, striping: Striping, basis: TorusBasis) -> TorusBasis:
     """The smallest per-vector multiple of `basis` that closes up the colours.
 
-    Each vector is scaled independently by the least positive factor
-    making it a period of the coloured pattern; a basis that already
-    validates is returned unchanged.
+    Each vector is scaled independently by its order modulo the periods
+    of the coloured pattern (the design's translation lattice and the
+    stripe periods), the least positive factor making it a period; a
+    basis that already validates is returned unchanged.
     """
-    bound = math.lcm(
-        design.width * design.height,
-        _min_cyclic_period(striping.warp_seq),
-        _min_cyclic_period(striping.weft_seq),
-    )
-    factors = []
-    for v in (basis.v1, basis.v2):
-        for k in range(1, bound + 1):
-            if _fixes_pattern(design, striping, (k * v[0], k * v[1])):
-                factors.append(k)
-                break
-    return basis.scaled(*factors)
+    return basis.scaled(_order(design, striping, basis.v1), _order(design, striping, basis.v2))
 
 
 # -- counting ------------------------------------------------------------

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from isoweave.colouring import Striping
+from isoweave.colouring import ColouringReport, Conflict, Striping
 from isoweave.design import Design, Direction, Strand, reverse
 from isoweave.isometry import Isometry, PointPart, Side, act_on_doubled
 from isoweave.svg import (
@@ -28,6 +28,7 @@ from isoweave.symmetry import (
     axis_inventory,
     find_symmetries,
 )
+from isoweave.torus import TorusBasis
 
 
 @dataclass(frozen=True)
@@ -113,6 +114,11 @@ def pointwise_symmetry_check(design: Design, iso: Isometry) -> bool:
             if same != expect_equal:
                 return False
     return True
+
+
+def tiled(d: Design, kx: int, ky: int) -> Design:
+    """The same fabric stored on a kx-by-ky block of copies of its period."""
+    return Design(d.width * kx, d.height * ky, tuple(row * kx for row in d.rows) * ky)
 
 
 def random_design(rng: random.Random, max_side: int = 6) -> Design:
@@ -271,6 +277,107 @@ def per_strand_stripes_preserved(design: Design, striping: Striping) -> bool:
                 if striping.strand_colour(a) == striping.strand_colour(b):
                     return False
     return True
+
+
+def combined_period_is_perfect(design: Design, striping: Striping) -> ColouringReport:
+    """Reference for ``is_perfect``: each generator's palette map is read
+    strand by strand with ``act_on_strand`` over the combined period
+    lcm(w, h, len(warp_seq), len(weft_seq)), warps first.  The first strand
+    seen with each colour stands as its witness, and colours no strand
+    uses are mapped onto the unused images in sorted order."""
+    n = math.lcm(design.width, design.height, len(striping.warp_seq), len(striping.weft_seq))
+    perms = []
+    for g in find_symmetries(design).generators():
+        first: dict[int, tuple[int, Strand]] = {}  # colour -> (image colour, witness)
+        for direction in (Direction.WARP, Direction.WEFT):
+            for k in range(n):
+                strand = Strand(direction, k)
+                a = striping.strand_colour(strand)
+                b = striping.strand_colour(act_on_strand(g, strand))
+                if a not in first:
+                    first[a] = (b, strand)
+                elif first[a][0] != b:
+                    return ColouringReport(False, Conflict(g, first[a][1], strand), ())
+        source: dict[int, int] = {}
+        for a in sorted(first):
+            b, strand = first[a]
+            if b in source:
+                return ColouringReport(False, Conflict(g, first[source[b]][1], strand), ())
+            source[b] = a
+        spare = iter(sorted(set(range(striping.colours)) - set(source)))
+        perm = tuple(first[a][0] if a in first else next(spare) for a in range(striping.colours))
+        perms.append((g, perm))
+    return ColouringReport(True, None, tuple(perms))
+
+
+def per_cell_visible(design: Design, striping: Striping) -> np.ndarray:
+    """Reference for ``visible``: the colour shown, cell by cell."""
+    width = math.lcm(design.width, len(striping.warp_seq))
+    height = math.lcm(design.height, len(striping.weft_seq))
+    out = np.empty((height, width), dtype=int)
+    for y in range(height):
+        for x in range(width):
+            out[y, x] = (
+                striping.warp_colour(x) if design.warp_up(x, y) else striping.weft_colour(y)
+            )
+    return out
+
+
+# -- period references ---------------------------------------------------
+#
+# Periods found by trying every candidate in turn: string repetition for
+# sequences, cell-by-cell comparison for translations of the design.
+
+
+def _repeat_period(seq) -> int:
+    """Least p dividing ``len(seq)`` with ``seq`` a p-long block repeated."""
+    n = len(seq)
+    return next(p for p in range(1, n + 1) if n % p == 0 and seq == seq[:p] * (n // p))
+
+
+def per_strand_order(design: Design) -> int:
+    """Reference for ``Design.order``: the lcm of the least periods of
+    every column and every row, read off their strings."""
+    columns = ["".join(row[x] for row in design.rows) for x in range(design.width)]
+    return math.lcm(*(_repeat_period(s) for s in columns + list(design.rows)))
+
+
+def _fixes_coloured_pattern(design: Design, striping: Striping, v: tuple[int, int]) -> bool:
+    dx, dy = v
+    return (
+        dx % _repeat_period(striping.warp_seq) == 0
+        and dy % _repeat_period(striping.weft_seq) == 0
+        and all(
+            design.warp_up(x + dx, y + dy) == design.warp_up(x, y)
+            for y in range(design.height)
+            for x in range(design.width)
+        )
+    )
+
+
+def per_cell_validate_torus(design: Design, striping: Striping, basis: TorusBasis) -> bool:
+    """Reference for ``validate_torus``: each basis vector is compared with
+    the design cell by cell and with the stripes' least periods."""
+    return all(_fixes_coloured_pattern(design, striping, v) for v in (basis.v1, basis.v2))
+
+
+def per_cell_inflate(design: Design, striping: Striping, basis: TorusBasis) -> TorusBasis:
+    """Reference for ``inflate``: each vector's multiples are tried in turn,
+    up to lcm(w * h, stripe periods), until one passes the per-cell test."""
+    bound = math.lcm(
+        design.width * design.height,
+        _repeat_period(striping.warp_seq),
+        _repeat_period(striping.weft_seq),
+    )
+    v1, v2 = (
+        next(
+            (k * v[0], k * v[1])
+            for k in range(1, bound + 1)
+            if _fixes_coloured_pattern(design, striping, (k * v[0], k * v[1]))
+        )
+        for v in (basis.v1, basis.v2)
+    )
+    return TorusBasis(v1, v2, basis.kind)
 
 
 # -- per-cell SVG reference ----------------------------------------------

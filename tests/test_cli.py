@@ -1,7 +1,9 @@
 """Tests for the command-line interface: exit codes, piping, reports."""
 
 import io
+import random
 
+import numpy as np
 import pytest
 
 from isoweave.cli import main
@@ -123,6 +125,16 @@ def test_search_refuses_an_oversized_palette(capsys, monkeypatch):
     assert "479001600" in err and "2000000" in err
 
 
+def test_search_and_place_refuse_an_empty_palette(capsys, monkeypatch):
+    for argv in (
+        ["search", "--colours", "0", "--thick", "--max-len", "1000000"],
+        ["place", "--colours", "0"],
+    ):
+        code, out, err = _run(capsys, argv, stdin=serialise(twill("2/1")), monkeypatch=monkeypatch)
+        assert code == 1 and out == ""
+        assert "palette must have at least one colour, got 0" in err
+
+
 def test_place_matches_search(capsys, monkeypatch):
     code, out, _ = _run(
         capsys,
@@ -186,6 +198,23 @@ def test_torus_valid_design_basis(capsys, tmp_path):
     assert code == 0
     assert "period parallelogram of the coloured pattern: yes" in out
     assert "inflated:" not in out
+
+
+def test_torus_refuses_an_oversized_design(capsys, tmp_path, monkeypatch):
+    rng = random.Random(513)
+    big = Design(513, 512, tuple("".join(rng.choice("#.") for _ in range(513)) for _ in range(512)))
+    path = tmp_path / "big.txt"
+    path.write_text(serialise(big))
+
+    def no_fft(*args, **kwargs):
+        raise AssertionError("an FFT array was built")
+
+    monkeypatch.setattr(np.fft, "fft2", no_fft)
+    code, out, err = _run(
+        capsys, ["torus", "--basis", "diag:3,15", "--colours", "3", "--design", str(path)]
+    )
+    assert code == 1 and out == ""
+    assert "513x512" in err
 
 
 def test_render_to_stdout(capsys, monkeypatch):

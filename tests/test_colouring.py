@@ -12,7 +12,12 @@ import random
 import numpy as np
 import pytest
 
-from helpers import per_strand_stripes_preserved, random_design
+from helpers import (
+    combined_period_is_perfect,
+    per_cell_visible,
+    per_strand_stripes_preserved,
+    random_design,
+)
 from isoweave.design import Design, permutation_design, plain_weave, twill
 from isoweave.colouring import (
     MAX_CANDIDATES,
@@ -79,6 +84,21 @@ def test_visible_colours():
     grid = visible(twill("2/1"), Striping(3, (0, 1, 2), (1, 2, 0)))
     assert grid.shape == (3, 3)
     assert grid[0, 0] == 0  # warp up at origin
+
+
+def test_visible_matches_the_per_cell_oracle():
+    rng = random.Random(2000)
+    for _ in range(300):
+        d = random_design(rng, 6)
+        c = rng.randrange(1, 6)
+        s = Striping(
+            c,
+            tuple(rng.randrange(c) for _ in range(rng.randrange(1, 7))),
+            tuple(rng.randrange(c) for _ in range(rng.randrange(1, 7))),
+        )
+        got, want = visible(d, s), per_cell_visible(d, s)
+        assert got.dtype == want.dtype and got.shape == want.shape, (d, s)
+        assert (got == want).all(), (d, s)
 
 
 def test_redundancy_pattern():
@@ -178,6 +198,24 @@ def test_conflict_witness_strands_disagree():
     assert s.strand_colour(act_on_strand(g, a)) != s.strand_colour(act_on_strand(g, b))
 
 
+def test_is_perfect_matches_the_combined_period_oracle(enumerated_designs, isonemal_pool):
+    rng = random.Random(1408)
+    reports = []
+    for d in enumerated_designs[::10] + isonemal_pool:
+        c = rng.randrange(1, 6)
+        thin = Striping(c, tuple(range(c)), tuple(rng.sample(range(c), c)))
+        thick = Striping(
+            c,
+            tuple(rng.randrange(c) for _ in range(rng.randrange(1, 7))),
+            tuple(rng.randrange(c) for _ in range(rng.randrange(1, 7))),
+        )
+        for s in (thin, thick):
+            reports.append(is_perfect(d, s))
+            assert reports[-1] == combined_period_is_perfect(d, s), (d, s)
+    perfect = sum(r.perfect for r in reports)
+    assert 100 < perfect < len(reports) - 100
+
+
 def test_stripes_preserved():
     assert stripes_preserved(plain_weave(), standard_colouring())
     assert stripes_preserved(twill("2/1"), Striping(3, (0, 1, 2), (1, 2, 0)))
@@ -262,6 +300,24 @@ def test_search_refuses_an_oversized_candidate_space(monkeypatch):
     for thin in (True, False):
         with pytest.raises(ValueError, match="at least"):
             search_stripings(twill("2/1"), 100_000, thin=thin)
+
+
+def test_search_and_placement_refuse_an_empty_palette(monkeypatch):
+    def no_call(*args):
+        raise AssertionError("the design was examined")
+
+    for name in ("is_perfect", "find_symmetries", "has_quarter_turn", "glides_all_mirror_position"):
+        monkeypatch.setattr(f"isoweave.colouring.{name}", no_call)
+    for c in (0, -1):
+        message = f"palette must have at least one colour, got {c}"
+        for thin in (True, False):
+            with pytest.raises(ValueError, match=message):
+                search_stripings(twill("2/1"), c, thin=thin, max_len=1_000_000)
+        with pytest.raises(ValueError, match=message):
+            constructive_placement(twill("2/1"), c)
+    for max_len in (0, -5):
+        with pytest.raises(ValueError, match=f"max_len must be at least 1, got {max_len}"):
+            search_stripings(twill("2/1"), 2, thin=False, max_len=max_len)
 
 
 def test_disjoint_standard_is_found_for_any_design():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from helpers import equal_up_to_translation
+from helpers import equal_up_to_translation, per_strand_order, tiled
 from isoweave.design import (
     Design,
     ParseError,
@@ -150,6 +150,14 @@ def test_order_is_least_strand_period():
     # a non-reduced period still reports the least order
     big = Design(4, 4, ("#.#.", ".#.#") * 2)
     assert big.order == 2
+
+
+def test_order_matches_the_per_strand_oracle(enumerated_designs):
+    rng = random.Random(8)
+    randoms = [random_design(rng, 7) for _ in range(300)]
+    tilings = [tiled(d, kx, ky) for d in randoms for kx, ky in ((2, 1), (1, 3), (2, 2))]
+    for d in enumerated_designs + randoms + tilings:
+        assert d.order == per_strand_order(d), d
 
 
 def test_minimal_is_the_least_period_rectangle():

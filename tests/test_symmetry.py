@@ -22,6 +22,7 @@ from helpers import (
     pointwise_symmetry_check,
     random_design,
     strand_orbit_isonemal,
+    tiled,
 )
 from isoweave.design import Design, permutation_design, plain_weave, twill
 from isoweave.isometry import Isometry, PointPart, Side, compose, invert, translation
@@ -74,6 +75,21 @@ def test_lattice_det_counts_residues():
     assert len(residues) == lat.det == 3
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(
+    st.integers(1, 12).flatmap(
+        lambda a: st.tuples(st.just(a), st.integers(0, a - 1), st.integers(1, 12))
+    ),
+    st.tuples(st.integers(-15, 15), st.integers(-15, 15)),
+)
+def test_lattice_order_is_the_least_multiple_in_the_lattice(abd, v):
+    lattice = Lattice(*abd)
+    k = 1
+    while not lattice.contains((k * v[0], k * v[1])):
+        k += 1
+    assert lattice.order(v) == k
+
+
 def test_degenerate_lattice_raises():
     with pytest.raises(ValueError):
         Lattice.from_vectors([(2, 1), (4, 2)])
@@ -106,11 +122,6 @@ def test_group_elements_satisfy_the_transport_rule():
                 )
                 g = compose(translation(*lam), rep)
                 assert pointwise_symmetry_check(d, g), f"{d} {g}"
-
-
-def tiled(d: Design, kx: int, ky: int) -> Design:
-    """The same fabric stored on a kx-by-ky block of copies of its period."""
-    return Design(d.width * kx, d.height * ky, tuple(row * kx for row in d.rows) * ky)
 
 
 def test_find_symmetries_matches_the_lcm_square_reference(enumerated_designs, isonemal_pool):

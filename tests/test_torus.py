@@ -6,8 +6,11 @@ gcd picture (strands per direction = gcd of the diagonal sides, each
 crossing (P+Q)/gcd times) before being compared with the trace.
 """
 
+import random
+
 import pytest
 
+from helpers import per_cell_inflate, per_cell_validate_torus, random_design, tiled
 from isoweave.design import Design, plain_weave, twill
 from isoweave.colouring import Striping
 from isoweave.torus import (
@@ -123,6 +126,32 @@ def test_inflate_square_to_palette_lcm():
     assert inflate(DESIGN, THREE, axis_square(10)) == axis_square(30)
     six = Striping(6, (0, 1, 2, 3, 4, 5), (1, 2, 3, 4, 5, 0))
     assert inflate(twill("2/2"), six, axis_square(4)) == axis_square(12)
+
+
+def test_validate_and_inflate_match_the_per_cell_oracle(enumerated_designs, isonemal_pool):
+    rng = random.Random(1079)
+    randoms = [random_design(rng, 7) for _ in range(100)]
+    tilings = [tiled(d, kx, ky) for d in randoms for kx, ky in ((2, 1), (1, 3), (2, 2))]
+    verdicts = []
+    for d in enumerated_designs[::10] + isonemal_pool + randoms + tilings:
+        c = rng.randrange(1, 6)
+        thin = Striping(c, tuple(range(c)), tuple(rng.sample(range(c), c)))
+        thick = Striping(
+            c,
+            tuple(rng.randrange(c) for _ in range(rng.randrange(1, 7))),
+            tuple(rng.randrange(c) for _ in range(rng.randrange(1, 7))),
+        )
+        for s in (thin, thick):
+            for b in (
+                diagonal_rect(rng.randrange(1, 13), rng.randrange(1, 13)),
+                axis_square(rng.randrange(1, 25)),
+            ):
+                inflated = inflate(d, s, b)
+                assert inflated == per_cell_inflate(d, s, b), (d, s, b)
+                for basis in (b, inflated):
+                    verdicts.append(validate_torus(d, s, basis))
+                    assert verdicts[-1] == per_cell_validate_torus(d, s, basis), (d, s, basis)
+    assert 1000 < sum(verdicts) < len(verdicts) - 1000
 
 
 # -- counting ------------------------------------------------------------
