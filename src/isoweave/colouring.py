@@ -25,7 +25,7 @@ from operator import mul
 
 import numpy as np
 
-from isoweave.design import Design, Direction, Strand, _least_period, permutation_design
+from isoweave.design import Design, Direction, Strand, _least_period
 from isoweave.isometry import Isometry, PointPart, strand_map
 from isoweave.symmetry import (
     find_symmetries,
@@ -229,9 +229,9 @@ def _strand_actions(striping: Striping, iso: Isometry):
     are the hot path of the striping search).
 
     For each direction this gives ``(direction, source colours, coeff,
-    offset, image colours)``, where strand k of that direction, coloured
-    ``source[k]``, maps to the strand ``(coeff * (2k + 1) + offset - 1) // 2``
-    coloured from ``image`` (the other direction's colours when the
+    t, image colours)``, where strand k of that direction, coloured
+    ``source[k]``, maps to the strand ``coeff * k + t`` coloured from
+    ``image`` (the other direction's colours when the
     isometry swaps directions).  Sequences are read cyclically.
     """
     swaps, warp, weft = strand_map(iso)
@@ -252,31 +252,25 @@ def _transport(
     len(image)); every pair first occurs within the first period, which
     is all that is scanned.  Returns (permutation, None), with unused
     colours mapped among themselves in sorted order, or (None, conflict)
-    when two strands of one colour land on different colours or two
-    colours collide.
+    when two strands of one colour land on different colours.  Every
+    strand class of both directions is scanned, so a map without such a
+    conflict is onto the used colours, hence one-to-one.
     """
     c = striping.colours
     mapping: list[int | None] = [None] * c
     setter: list[tuple[Direction, int] | None] = [None] * c
-    for direction, src, coeff, off, img in _strand_actions(striping, iso):
+    for direction, src, coeff, t, img in _strand_actions(striping, iso):
         ls, li = len(src), len(img)
         for k in range(math.lcm(ls, li)):
             a = src[k % ls]
-            b = img[((coeff * (2 * k + 1) + off - 1) // 2) % li]
+            b = img[(coeff * k + t) % li]
             prev = mapping[a]
             if prev is None:
                 mapping[a] = b
                 setter[a] = (direction, k)
             elif prev != b:
                 return None, Conflict(iso, Strand(*setter[a]), Strand(direction, k))
-    targets: dict[int, int] = {}
-    for a, b in enumerate(mapping):
-        if b is None:
-            continue
-        if b in targets:
-            return None, Conflict(iso, Strand(*setter[targets[b]]), Strand(*setter[a]))
-        targets[b] = a
-    spare = sorted(set(range(c)) - set(targets))
+    spare = sorted(set(range(c)) - set(mapping))
     for a in range(c):
         if mapping[a] is None:
             mapping[a] = spare.pop(0)
@@ -321,13 +315,13 @@ def stripes_preserved(design: Design, striping: Striping) -> bool:
     long as the stripe layout survives).  Like the perfection check, it
     scans lcm(len(source), len(image)) strands per direction."""
     for g in find_symmetries(design).generators():
-        for _, src, coeff, off, img in _strand_actions(striping, g):
+        for _, src, coeff, t, img in _strand_actions(striping, g):
             ls, li = len(src), len(img)
             for k in range(math.lcm(ls, li)):
                 if src[k % ls] == src[(k + 1) % ls]:
                     continue  # not a boundary
                 # strand k + 1 maps to the image of strand k plus coeff
-                image = (coeff * (2 * k + 1) + off - 1) // 2
+                image = coeff * k + t
                 if img[image % li] == img[(image + coeff) % li]:
                     return False
     return True

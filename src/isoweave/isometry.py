@@ -23,6 +23,7 @@ from enum import Enum
 from fractions import Fraction
 
 Matrix = tuple[tuple[int, int], tuple[int, int]]
+StrandMap = tuple[bool, tuple[int, int], tuple[int, int]]
 
 
 class PointPart(Enum):
@@ -150,21 +151,44 @@ def act_on_doubled(g: Isometry, p: tuple[int, int]) -> tuple[int, int]:
     return (mv[0] + g.shift[0], mv[1] + g.shift[1])
 
 
-def strand_map(g: Isometry) -> tuple[bool, tuple[int, int], tuple[int, int]]:
+def strand_map(g: Isometry) -> StrandMap:
     """How ``g`` moves strands: ``(swaps, warp, weft)``.
 
     ``swaps`` is True when warps go to wefts and wefts to warps.  ``warp``
-    and ``weft`` are ``(coeff, offset)`` pairs: strand k of that direction
-    goes to strand ``(coeff * (2k + 1) + offset - 1) // 2`` of its image
-    direction.  Requires an even (cell-preserving) shift.
+    and ``weft`` are ``(coeff, t)`` pairs: strand k of that direction goes
+    to strand ``coeff * k + t`` of its image direction.  Strand k lies on
+    the doubled line ``2 * k + 1``, which ``g`` carries to the doubled
+    line ``coeff * (2 * k + 1) + s`` for the matching doubled shift
+    component s, so t = (coeff + s - 1) // 2.  Requires an even
+    (cell-preserving) shift.
     """
     if not g.preserves_cells:
         raise ValueError(f"isometry does not preserve cells: {g}")
-    m = g.point.matrix
+    (a, b), (c, d) = g.point.matrix
     sx, sy = g.shift
     if g.point.swaps_directions:
-        return True, (m[1][0], sy), (m[0][1], sx)
-    return False, (m[0][0], sx), (m[1][1], sy)
+        return True, (c, (c + sy - 1) // 2), (b, (b + sx - 1) // 2)
+    return False, (a, (a + sx - 1) // 2), (d, (d + sy - 1) // 2)
+
+
+def strand_orbit(maps: list[StrandMap], n: int, start: int = 0) -> set[int]:
+    """The strand classes modulo ``n`` reachable from class ``start``
+    under the strand maps ``maps`` (``strand_map`` results), which must
+    carry whole classes to whole classes.  Warp k is class k mod n and
+    weft k is class n + (k mod n)."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        cls = stack.pop()
+        is_weft = cls >= n
+        k = cls - n if is_weft else cls
+        for swaps, warp, weft in maps:
+            coeff, t = weft if is_weft else warp
+            image = (coeff * k + t) % n + (n if is_weft != swaps else 0)
+            if image not in seen:
+                seen.add(image)
+                stack.append(image)
+    return seen
 
 
 # -- geometric classification -------------------------------------------

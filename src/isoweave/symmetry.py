@@ -44,6 +44,7 @@ from isoweave.isometry import (
     _centre_kind,
     classify,
     strand_map,
+    strand_orbit,
     translation,
 )
 
@@ -330,19 +331,7 @@ def is_isonemal(design: Design) -> bool:
     """
     L = design.order
     maps = [strand_map(g) for g in find_symmetries(design).generators()]
-    seen = {0}  # warps are 0..L-1, wefts L..2L-1
-    stack = [0]
-    while stack:
-        cls = stack.pop()
-        is_weft = cls >= L
-        k = cls - L if is_weft else cls
-        for swaps, warp, weft in maps:
-            coeff, offset = weft if is_weft else warp
-            key = (coeff * (2 * k + 1) + offset - 1) // 2 % L + (L if is_weft != swaps else 0)
-            if key not in seen:
-                seen.add(key)
-                stack.append(key)
-    return len(seen) == 2 * L
+    return len(strand_orbit(maps, L)) == 2 * L
 
 
 def subgroup_check(sub: SymmetryGroup, sup: SymmetryGroup) -> bool:

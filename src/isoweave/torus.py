@@ -8,36 +8,37 @@ multiple of the stripe periods.  A basis that is a period of the design
 alone may need each vector multiplied to bring the colours back into
 phase.
 
-Two basis shapes cover the cases of interest.  An axis-aligned square of
-side N uses vectors (N, 0) and (0, N).  A diagonal rectangle with sides
-P and Q -- measured in cell diagonals -- uses vectors (P, P) and
-(Q, -Q); this is the natural shape when the weave's translation lattice
-is spanned by diagonal steps.
+A basis is its two vectors, in one of two shapes.  An axis-aligned
+square of side N uses vectors (N, 0) and (0, N); it is the shape whose
+first vector is horizontal.  A diagonal rectangle with sides P and Q --
+measured in cell diagonals -- uses vectors (P, P) and (Q, -Q); this is
+the natural shape when the weave's translation lattice is spanned by
+diagonal steps.  Inflation keeps the shape: a square grows into a square.
 
 Once closed up, each vertical (or horizontal) line of the plane becomes
 a closed strand winding around the torus.  `band_count` gives the strand
-and band statistics in closed form, and `trace_strands` recomputes them
-by brute force, following line identifications with a union-find; the
-two must always agree.  A band is a group of palette-size adjacent
-strands showing every colour once.  Whether apparently distinct bands
-join up is governed by the cyclic group generated by the permutation of
-band slots picked up on each circuit of the torus: the actual number of
-bands is the slot count divided by the order of that permutation.
+and band statistics in closed form from the vectors, and `trace_strands`
+recomputes them by brute force, walking the strand classes that the two
+basis translations identify (`isometry.strand_orbit`); the two must
+always agree.  A band is a group of palette-size adjacent strands
+showing every colour once.  Whether apparently distinct bands join up is
+governed by the cyclic group generated by the permutation of band slots
+picked up on each circuit of the torus: the actual number of bands is
+the slot count divided by the order of that permutation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
-from isoweave.colouring import Striping
+from isoweave.colouring import Striping, _check_palette
 from isoweave.design import Design, _least_period
+from isoweave.isometry import strand_map, strand_orbit, translation
 from isoweave.symmetry import Lattice, find_symmetries
 
 __all__ = [
     "BandReport",
-    "BasisKind",
     "TorusBasis",
     "axis_square",
     "band_count",
@@ -50,28 +51,26 @@ __all__ = [
 ]
 
 
-class BasisKind(Enum):
-    """Shape of a torus period parallelogram."""
-
-    AXIS_ALIGNED = "axis_aligned"
-    DIAGONAL_RECT = "diagonal_rect"
-
-
 @dataclass(frozen=True)
 class TorusBasis:
-    """A pair of independent integer vectors spanning a period parallelogram.
-
-    Vectors are in cell units.  Use `axis_square` and `diagonal_rect`
-    to construct the two supported shapes.
+    """The two vectors spanning a period parallelogram, in cell units:
+    (P, P) and (Q, -Q) for a diagonal rectangle, or (N, 0) and (0, N)
+    for an axis-aligned square, with P, Q, N >= 1.  Use `axis_square`
+    and `diagonal_rect` to construct them.
     """
 
     v1: tuple[int, int]
     v2: tuple[int, int]
-    kind: BasisKind
 
     def __post_init__(self) -> None:
-        if self.det == 0:
-            raise ValueError("degenerate basis: vectors must be independent")
+        (a, b), (c, d) = self.v1, self.v2
+        square = (b, c, d) == (0, 0, a)
+        diagonal = (b, d) == (a, -c) and c >= 1
+        if a < 1 or not (square or diagonal):
+            raise ValueError(
+                f"not a torus basis: {self.v1}, {self.v2}; expected (P, P), (Q, -Q)"
+                " or (N, 0), (0, N) with P, Q, N >= 1"
+            )
 
     @property
     def det(self) -> int:
@@ -83,34 +82,30 @@ class TorusBasis:
             raise ValueError("scale factors must be positive")
         v1 = (k1 * self.v1[0], k1 * self.v1[1])
         v2 = (k2 * self.v2[0], k2 * self.v2[1])
-        return TorusBasis(v1, v2, self.kind)
+        return TorusBasis(v1, v2)
 
     @property
     def diagonal_sides(self) -> tuple[int, int]:
         """The (P, Q) side lengths in diagonal units of a diagonal rectangle."""
-        if self.kind is not BasisKind.DIAGONAL_RECT:
+        if self.v1[1] == 0:
             raise ValueError("not a diagonal rectangle")
         return self.v1[0], self.v2[0]
 
     def __str__(self) -> str:
-        if self.kind is BasisKind.DIAGONAL_RECT:
-            p, q = self.diagonal_sides
-            return f"diag:{p},{q}"
-        return f"square:{self.v1[0]}"
+        if self.v1[1] == 0:
+            return f"square:{self.v1[0]}"
+        p, q = self.diagonal_sides
+        return f"diag:{p},{q}"
 
 
 def diagonal_rect(p: int, q: int) -> TorusBasis:
     """The parallelogram spanned by (p, p) and (q, -q), sides in diagonals."""
-    if p < 1 or q < 1:
-        raise ValueError("diagonal sides must be positive")
-    return TorusBasis((p, p), (q, -q), BasisKind.DIAGONAL_RECT)
+    return TorusBasis((p, p), (q, -q))
 
 
 def axis_square(n: int) -> TorusBasis:
     """The axis-aligned square spanned by (n, 0) and (0, n)."""
-    if n < 1:
-        raise ValueError("square side must be positive")
-    return TorusBasis((n, 0), (0, n), BasisKind.AXIS_ALIGNED)
+    return TorusBasis((n, 0), (0, n))
 
 
 @dataclass(frozen=True)
@@ -151,27 +146,30 @@ def validate_torus(design: Design, striping: Striping, basis: TorusBasis) -> boo
 
 
 def inflate(design: Design, striping: Striping, basis: TorusBasis) -> TorusBasis:
-    """The smallest per-vector multiple of `basis` that closes up the colours.
+    """The smallest multiple of `basis` of its own shape that closes up
+    the colours.
 
-    Each vector is scaled independently by its order modulo the periods
-    of the coloured pattern (the design's translation lattice and the
-    stripe periods), the least positive factor making it a period; a
-    basis that already validates is returned unchanged.
+    A diagonal rectangle scales each vector independently by its order
+    modulo the periods of the coloured pattern (the design's translation
+    lattice and the stripe periods), the least positive factor making it
+    a period; a square scales both by the lcm of the two orders, giving
+    the smallest closing square.  A basis that already validates is
+    returned unchanged.
     """
-    return basis.scaled(_order(design, striping, basis.v1), _order(design, striping, basis.v2))
+    k1, k2 = _order(design, striping, basis.v1), _order(design, striping, basis.v2)
+    if basis.v1[1] == 0:
+        k1 = k2 = math.lcm(k1, k2)
+    return basis.scaled(k1, k2)
 
 
 # -- counting ------------------------------------------------------------
 
 
 def _phase_sides(basis: TorusBasis, colours: int) -> tuple[int, int]:
-    """Side lengths (P, Q) after checking the colour-phase preconditions."""
-    if colours < 1:
-        raise ValueError("palette size must be positive")
-    if basis.kind is BasisKind.DIAGONAL_RECT:
-        p, q = basis.diagonal_sides
-    else:
-        p = q = basis.v1[0]
+    """Side lengths P = v1x and Q = |v2y| (both N for a square) after
+    checking that the palette size divides them."""
+    _check_palette(colours)
+    p, q = basis.v1[0], abs(basis.v2[1])
     if p % colours or q % colours:
         raise ValueError(
             f"colours out of phase: {colours} must divide both sides of {basis}"
@@ -182,60 +180,47 @@ def _phase_sides(basis: TorusBasis, colours: int) -> tuple[int, int]:
 def band_count(basis: TorusBasis, colours: int) -> BandReport:
     """Closed-form strand statistics of the torus closed over `basis`.
 
-    For a diagonal rectangle with sides (P, Q) there are gcd(P, Q)
-    distinct strands in each direction, hence gcd(P, Q)/c of each
-    colour, and each strand crosses the torus (P + Q)/gcd(P, Q) times.
-    An axis-aligned square of side N carries N strands per direction,
-    each crossing once.  `trace_strands` verifies these formulas.
+    With g = gcd(v1x, v2x) there are g distinct strands in each
+    direction, hence g/c of each colour, and each strand crosses the
+    torus (v1x + v2x)/g times: for a diagonal rectangle with sides
+    (P, Q) that is gcd(P, Q) strands crossing (P + Q)/gcd(P, Q) times,
+    and an axis-aligned square of side N carries N strands per
+    direction, each crossing once.  `trace_strands` verifies these
+    formulas.
     """
-    p, q = _phase_sides(basis, colours)
-    if basis.kind is BasisKind.AXIS_ALIGNED:
-        return BandReport(p // colours, p // colours, 1)
-    g = math.gcd(p, q)
-    return BandReport(g // colours, g // colours, (p + q) // g)
+    _phase_sides(basis, colours)
+    x1, x2 = basis.v1[0], basis.v2[0]
+    g = math.gcd(x1, x2)
+    return BandReport(g // colours, g // colours, (x1 + x2) // g)
 
 
 def trace_strands(basis: TorusBasis, colours: int) -> BandReport:
     """Brute-force oracle for `band_count`.
 
-    Vertical lines of the plane are indexed by x.  Within one horizontal
-    period of the parallelogram, two indices name the same strand on the
-    torus exactly when a lattice vector carries one to the other, so the
-    strands are the orbits of the x-displacements of the basis acting on
-    the index window.  Orbit count gives strands per direction, orbit
-    size gives crossings per strand, and the canonical thin striping
-    colours index x with x mod c, constant on each orbit.
+    Vertical lines of the plane are indexed by x.  Within the window of
+    v1x + v2x lines, two indices name the same strand on the torus
+    exactly when the basis translations carry one to the other, so the
+    strands are the orbits (`strand_orbit`) of the warp classes of the
+    window under the strand maps of those translations.  Orbit count
+    gives strands per direction, orbit size gives crossings per strand,
+    and the canonical thin striping colours index x with x mod c,
+    constant on each orbit.
     """
-    p, q = _phase_sides(basis, colours)
-    if basis.kind is BasisKind.AXIS_ALIGNED:
-        window, shifts = p, (p,)
-    else:
-        window = p + q
-        shifts = (p % window, q % window)
-
-    parent = list(range(window))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    _phase_sides(basis, colours)
+    window = basis.v1[0] + basis.v2[0]
+    maps = [strand_map(translation(*v)) for v in (basis.v1, basis.v2)]
+    classes: list[set[int]] = []
+    seen: set[int] = set()
     for j in range(window):
-        for shift in shifts:
-            a, b = find(j), find((j + shift) % window)
-            if a != b:
-                parent[a] = b
+        if j not in seen:
+            classes.append(strand_orbit(maps, window, j))
+            seen |= classes[-1]
 
-    classes: dict[int, list[int]] = {}
-    for j in range(window):
-        classes.setdefault(find(j), []).append(j)
-
-    sizes = {len(members) for members in classes.values()}
+    sizes = {len(members) for members in classes}
     if len(sizes) != 1:
         raise AssertionError("strand classes of unequal size")
     per_colour: dict[int, int] = {}
-    for members in classes.values():
+    for members in classes:
         strand_colours = {j % colours for j in members}
         if len(strand_colours) != 1:
             raise AssertionError("strand crosses stripes of several colours")
@@ -254,14 +239,14 @@ def crossing_permutation(basis: TorusBasis, colours: int) -> tuple[int, ...]:
 
     The side spanned by the second basis vector is divided into Q/c
     slots, each the width of one band.  Following a band until it
-    re-enters that side advances its slot by P/c for a diagonal
-    rectangle and leaves it fixed for an axis-aligned square.  The
+    re-enters that side advances its slot by (P/c) mod (Q/c): P/c for a
+    diagonal rectangle, and nothing for a square, where P = Q.  The
     actual number of bands is the number of orbits of this permutation,
     equivalently slots divided by the permutation's order.
     """
     p, q = _phase_sides(basis, colours)
     slots = q // colours
-    step = (p // colours) % slots if basis.kind is BasisKind.DIAGONAL_RECT else 0
+    step = (p // colours) % slots
     return tuple((i + step) % slots for i in range(slots))
 
 

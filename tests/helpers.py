@@ -363,21 +363,24 @@ def per_cell_validate_torus(design: Design, striping: Striping, basis: TorusBasi
 
 def per_cell_inflate(design: Design, striping: Striping, basis: TorusBasis) -> TorusBasis:
     """Reference for ``inflate``: each vector's multiples are tried in turn,
-    up to lcm(w * h, stripe periods), until one passes the per-cell test."""
+    up to lcm(w * h, stripe periods), until one passes the per-cell test;
+    a square is scaled by the lcm of the two factors found."""
     bound = math.lcm(
         design.width * design.height,
         _repeat_period(striping.warp_seq),
         _repeat_period(striping.weft_seq),
     )
-    v1, v2 = (
+    k1, k2 = (
         next(
-            (k * v[0], k * v[1])
+            k
             for k in range(1, bound + 1)
             if _fixes_coloured_pattern(design, striping, (k * v[0], k * v[1]))
         )
         for v in (basis.v1, basis.v2)
     )
-    return TorusBasis(v1, v2, basis.kind)
+    if basis.v1[1] == 0:
+        k1 = k2 = math.lcm(k1, k2)
+    return TorusBasis((k1 * basis.v1[0], k1 * basis.v1[1]), (k2 * basis.v2[0], k2 * basis.v2[1]))
 
 
 # -- per-cell SVG reference ----------------------------------------------

@@ -200,6 +200,28 @@ def test_torus_valid_design_basis(capsys, tmp_path):
     assert "inflated:" not in out
 
 
+def test_torus_inflates_a_square_to_a_square(capsys, tmp_path):
+    path = tmp_path / "weave.txt"
+    path.write_text(serialise(twill("2/1")))
+    code, out, _ = _run(
+        capsys,
+        [
+            "torus",
+            "--basis",
+            "square:3",
+            "--colours",
+            "1",
+            "--design",
+            str(path),
+            "--striping",
+            "c=2 warp=0 weft=0,1",
+        ],
+    )
+    assert code == 0
+    assert "period parallelogram of the coloured pattern: no" in out
+    assert "inflated: square:6" in out
+
+
 def test_torus_refuses_an_oversized_design(capsys, tmp_path, monkeypatch):
     rng = random.Random(513)
     big = Design(513, 512, tuple("".join(rng.choice("#.") for _ in range(513)) for _ in range(512)))

@@ -15,7 +15,6 @@ from isoweave.design import Design, plain_weave, twill
 from isoweave.colouring import Striping
 from isoweave.torus import (
     BandReport,
-    BasisKind,
     TorusBasis,
     axis_square,
     band_count,
@@ -61,7 +60,6 @@ def _orbits(perm: tuple[int, ...]) -> int:
 def test_basis_construction():
     b = diagonal_rect(3, 15)
     assert b.v1 == (3, 3) and b.v2 == (15, -15)
-    assert b.kind is BasisKind.DIAGONAL_RECT
     assert b.diagonal_sides == (3, 15)
     assert str(b) == "diag:3,15"
     s = axis_square(30)
@@ -76,12 +74,22 @@ def test_basis_validation():
     with pytest.raises(ValueError):
         axis_square(0)
     with pytest.raises(ValueError):
-        TorusBasis((2, 2), (1, 1), BasisKind.DIAGONAL_RECT)
+        TorusBasis((2, 2), (1, 1))
     with pytest.raises(ValueError):
         diagonal_rect(3, 15).scaled(0, 1)
     assert diagonal_rect(3, 5).scaled(1, 3) == diagonal_rect(3, 15)
     with pytest.raises(ValueError):
         axis_square(4).diagonal_sides
+
+
+def test_basis_is_one_of_two_shapes():
+    for v1, v2 in (((2, 0), (0, 3)), ((2, 2), (1, 1)), ((2, 2), (-1, 1)), ((0, 0), (0, 0))):
+        with pytest.raises(ValueError, match="not a torus basis"):
+            TorusBasis(v1, v2)
+    with pytest.raises(ValueError, match="not a torus basis"):
+        axis_square(2).scaled(1, 2)
+    assert TorusBasis((2, 0), (0, 2)) == axis_square(2)
+    assert TorusBasis((2, 2), (1, -1)) == diagonal_rect(2, 1)
 
 
 # -- validation ----------------------------------------------------------
@@ -128,6 +136,11 @@ def test_inflate_square_to_palette_lcm():
     assert inflate(twill("2/2"), six, axis_square(4)) == axis_square(12)
 
 
+def test_inflate_keeps_a_square_square():
+    # the horizontal side closes at 3, the vertical one needs 6
+    assert inflate(twill("2/1"), Striping(2, (0,), (0, 1)), axis_square(3)) == axis_square(6)
+
+
 def test_validate_and_inflate_match_the_per_cell_oracle(enumerated_designs, isonemal_pool):
     rng = random.Random(1079)
     randoms = [random_design(rng, 7) for _ in range(100)]
@@ -148,6 +161,9 @@ def test_validate_and_inflate_match_the_per_cell_oracle(enumerated_designs, ison
             ):
                 inflated = inflate(d, s, b)
                 assert inflated == per_cell_inflate(d, s, b), (d, s, b)
+                if b.v1[1] == 0:
+                    assert inflated == axis_square(inflated.v1[0]), (d, s, b)
+                    assert validate_torus(d, s, inflated), (d, s, b)
                 for basis in (b, inflated):
                     verdicts.append(validate_torus(d, s, basis))
                     assert verdicts[-1] == per_cell_validate_torus(d, s, basis), (d, s, basis)
@@ -171,6 +187,11 @@ def test_band_count_phase_errors():
         band_count(axis_square(10), 3)
     with pytest.raises(ValueError):
         band_count(diagonal_rect(3, 15), 0)
+
+
+def test_band_count_checks_the_palette_like_colouring():
+    with pytest.raises(ValueError, match="palette must have at least one colour, got 0"):
+        band_count(axis_square(3), 0)
 
 
 def test_trace_reference_values():
