@@ -55,8 +55,17 @@ __all__ = ["main"]
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand; ``argv`` defaults to ``sys.argv[1:]``.
+
+    When ``argv[0]`` names a subcommand, only that subcommand's parser is
+    built.  Otherwise (no arguments, ``-h``, an unknown command, or a
+    leading option) the full parser is built, so help and usage errors
+    list every subcommand.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
+    only = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = _build_parser(only).parse_args(argv)
     try:
         return args.handler(args)
     except (ParseError, ValueError, OSError) as exc:
@@ -293,97 +302,114 @@ def _add_out_arg(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", metavar="FILE", help="write output here instead of stdout")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="isoweave",
-        description="analyse doubly periodic weaves, their symmetries, and stripings",
-    )
-    commands = parser.add_subparsers(dest="command", required=True)
+def _twill_args(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("spec", help="run lengths over/under, e.g. 2/1 or 2/1/1/2")
+    _add_out_arg(sub)
 
-    twill_cmd = commands.add_parser("twill", help="write a twill design file")
-    twill_cmd.add_argument("spec", help="run lengths over/under, e.g. 2/1 or 2/1/1/2")
-    _add_out_arg(twill_cmd)
-    twill_cmd.set_defaults(handler=_cmd_twill)
 
-    analyze_cmd = commands.add_parser("analyze", help="full symmetry report")
-    _add_design_arg(analyze_cmd)
-    _add_out_arg(analyze_cmd)
-    analyze_cmd.set_defaults(handler=_cmd_analyze)
+def _analyze_args(sub: argparse.ArgumentParser) -> None:
+    _add_design_arg(sub)
+    _add_out_arg(sub)
 
-    hang_cmd = commands.add_parser("hang", help="does the fabric hang together?")
-    _add_design_arg(hang_cmd)
-    hang_cmd.set_defaults(handler=_cmd_hang)
 
-    check_cmd = commands.add_parser("check", help="check a striping for perfection")
-    _add_design_arg(check_cmd)
-    check_cmd.add_argument(
-        "--striping", required=True, help="e.g. 'c=3 warp=0,1,2 weft=1,2,0'"
-    )
-    _add_out_arg(check_cmd)
-    check_cmd.set_defaults(handler=_cmd_check)
+def _check_args(sub: argparse.ArgumentParser) -> None:
+    _add_design_arg(sub)
+    sub.add_argument("--striping", required=True, help="e.g. 'c=3 warp=0,1,2 weft=1,2,0'")
+    _add_out_arg(sub)
 
-    search_cmd = commands.add_parser("search", help="list perfect stripings")
-    _add_design_arg(search_cmd)
-    search_cmd.add_argument("--colours", type=int, required=True)
-    search_cmd.add_argument(
+
+def _search_args(sub: argparse.ArgumentParser) -> None:
+    _add_design_arg(sub)
+    sub.add_argument("--colours", type=int, required=True)
+    sub.add_argument(
         "--mode",
         choices=[ColourSetsRelation.EQUAL.value, ColourSetsRelation.DISJOINT.value],
         default=ColourSetsRelation.EQUAL.value,
         help="warp/weft palettes equal or disjoint (default equal)",
     )
-    thinness = search_cmd.add_mutually_exclusive_group()
+    thinness = sub.add_mutually_exclusive_group()
     thinness.add_argument(
         "--thin", action="store_true", default=True, help="thin stripes (default)"
     )
     thinness.add_argument(
         "--thick", action="store_true", help="allow repeated colours in a direction"
     )
-    search_cmd.add_argument(
+    sub.add_argument(
         "--max-len", type=int, default=None, help="stripe sequence length cap (thick)"
     )
-    _add_out_arg(search_cmd)
-    search_cmd.set_defaults(handler=_cmd_search)
+    _add_out_arg(sub)
 
-    place_cmd = commands.add_parser(
-        "place", help="place stripings constructively, then verify"
-    )
-    _add_design_arg(place_cmd)
-    place_cmd.add_argument("--colours", type=int, required=True)
-    _add_out_arg(place_cmd)
-    place_cmd.set_defaults(handler=_cmd_place)
 
-    torus_cmd = commands.add_parser("torus", help="strand counts on a torus closure")
-    torus_cmd.add_argument(
-        "--basis", required=True, help="diag:P,Q (diagonal units) or square:N"
-    )
-    torus_cmd.add_argument("--mult", type=int, default=1, help="scale both vectors")
-    torus_cmd.add_argument("--colours", type=int, required=True)
-    torus_cmd.add_argument(
+def _place_args(sub: argparse.ArgumentParser) -> None:
+    _add_design_arg(sub)
+    sub.add_argument("--colours", type=int, required=True)
+    _add_out_arg(sub)
+
+
+def _torus_args(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--basis", required=True, help="diag:P,Q (diagonal units) or square:N")
+    sub.add_argument("--mult", type=int, default=1, help="scale both vectors")
+    sub.add_argument("--colours", type=int, required=True)
+    sub.add_argument(
         "--design", default=None, metavar="FILE", help="also validate against a design"
     )
-    torus_cmd.add_argument(
+    sub.add_argument(
         "--striping", default=None, help="striping for validation (default: thin identity)"
     )
-    _add_out_arg(torus_cmd)
-    torus_cmd.set_defaults(handler=_cmd_torus)
+    _add_out_arg(sub)
 
-    render_cmd = commands.add_parser("render", help="draw an SVG figure")
-    _add_design_arg(render_cmd)
-    render_cmd.add_argument("--striping", default=None, help="colour the figure")
-    render_cmd.add_argument("--axes", action="store_true", help="overlay symmetry axes")
-    render_cmd.add_argument(
-        "--lattice-unit", action="store_true", help="outline one lattice unit"
-    )
-    render_cmd.add_argument(
+
+def _render_args(sub: argparse.ArgumentParser) -> None:
+    _add_design_arg(sub)
+    sub.add_argument("--striping", default=None, help="colour the figure")
+    sub.add_argument("--axes", action="store_true", help="overlay symmetry axes")
+    sub.add_argument("--lattice-unit", action="store_true", help="outline one lattice unit")
+    sub.add_argument(
         "--side",
         choices=[face.value for face in Face],
         default=Face.OBVERSE.value,
     )
-    render_cmd.add_argument("--cell-px", type=int, default=20)
-    render_cmd.add_argument("--window", default=None, help="window in cells, e.g. 9x6")
-    _add_out_arg(render_cmd)
-    render_cmd.set_defaults(handler=_cmd_render)
+    sub.add_argument("--cell-px", type=int, default=20)
+    sub.add_argument("--window", default=None, help="window in cells, e.g. 9x6")
+    _add_out_arg(sub)
 
+
+#: Subcommand name -> (help, function adding its arguments, handler), in
+#: the order help lists them.
+_COMMANDS = {
+    "twill": ("write a twill design file", _twill_args, _cmd_twill),
+    "analyze": ("full symmetry report", _analyze_args, _cmd_analyze),
+    "hang": ("does the fabric hang together?", _add_design_arg, _cmd_hang),
+    "check": ("check a striping for perfection", _check_args, _cmd_check),
+    "search": ("list perfect stripings", _search_args, _cmd_search),
+    "place": ("place stripings constructively, then verify", _place_args, _cmd_place),
+    "torus": ("strand counts on a torus closure", _torus_args, _cmd_torus),
+    "render": ("draw an SVG figure", _render_args, _cmd_render),
+}
+
+
+def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The parser for every subcommand, or, when ``only`` names one, for
+    that subcommand alone.
+
+    Most of a parser's cost is its subparsers (argparse makes a formatter
+    for every argument it adds), so a call that names its subcommand pays
+    for one.  The one-subcommand parser still shows the full choice list
+    in its usage line and errors.
+    """
+    parser = argparse.ArgumentParser(
+        prog="isoweave",
+        description="analyse doubly periodic weaves, their symmetries, and stripings",
+    )
+    # a metavar on the full parser would rename the command in its
+    # "required" error, so it is set only where the choices are cut
+    usage = {} if only is None else {"metavar": "{" + ",".join(_COMMANDS) + "}"}
+    commands = parser.add_subparsers(dest="command", required=True, **usage)
+    for name, (text, add_args, handler) in _COMMANDS.items():
+        if only in (None, name):
+            sub = commands.add_parser(name, help=text)
+            add_args(sub)
+            sub.set_defaults(handler=handler)
     return parser
 
 

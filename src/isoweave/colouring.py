@@ -26,7 +26,7 @@ from operator import mul
 import numpy as np
 
 from isoweave.design import Design, Direction, Strand, _least_period
-from isoweave.isometry import Isometry, PointPart, strand_map
+from isoweave.isometry import Isometry, PointPart, StrandMap, strand_map
 from isoweave.symmetry import (
     find_symmetries,
     glides_all_mirror_position,
@@ -223,10 +223,10 @@ class ColouringReport:
     permutations: tuple[tuple[Isometry, tuple[int, ...]], ...]
 
 
-def _strand_actions(striping: Striping, iso: Isometry):
-    """The strand action of one isometry (``strand_map``) bundled with
-    the striping's colours, hoisted out of the scans over strands (they
-    are the hot path of the striping search).
+def _strand_actions(striping: Striping, smap: StrandMap):
+    """One isometry's strand map (``strand_map``) bundled with the
+    striping's colours, hoisted out of the scans over strands (they are
+    the hot path of the striping search).
 
     For each direction this gives ``(direction, source colours, coeff,
     t, image colours)``, where strand k of that direction, coloured
@@ -234,7 +234,7 @@ def _strand_actions(striping: Striping, iso: Isometry):
     ``image`` (the other direction's colours when the
     isometry swaps directions).  Sequences are read cyclically.
     """
-    swaps, warp, weft = strand_map(iso)
+    swaps, warp, weft = smap
     wa, we = striping.warp_seq, striping.weft_seq
     return (
         (Direction.WARP, wa, *warp, we if swaps else wa),
@@ -243,9 +243,10 @@ def _strand_actions(striping: Striping, iso: Isometry):
 
 
 def _transport(
-    striping: Striping, iso: Isometry
+    striping: Striping, iso: Isometry, smap: StrandMap
 ) -> tuple[tuple[int, ...] | None, Conflict | None]:
-    """The palette permutation induced by one isometry's strand action.
+    """The palette permutation induced by one isometry, whose strand map
+    is ``smap``.
 
     A strand map is affine with slope +-1, so in each direction the pairs
     (colour, image colour) repeat with period lcm(len(source),
@@ -259,7 +260,7 @@ def _transport(
     c = striping.colours
     mapping: list[int | None] = [None] * c
     setter: list[tuple[Direction, int] | None] = [None] * c
-    for direction, src, coeff, t, img in _strand_actions(striping, iso):
+    for direction, src, coeff, t, img in _strand_actions(striping, smap):
         ls, li = len(src), len(img)
         for k in range(math.lcm(ls, li)):
             a = src[k % ls]
@@ -286,8 +287,31 @@ def induced_permutation(
     generators reported by `is_perfect`; on a perfect striping the map
     from group elements to permutations is a homomorphism.
     """
-    perm, _ = _transport(striping, iso)
+    perm, _ = _transport(striping, iso, strand_map(iso))
     return perm
+
+
+def _generator_actions(design: Design) -> tuple[tuple[Isometry, StrandMap], ...]:
+    """Each generator of the design's group with its strand map, in the
+    order of ``generators()``; a search reads them once for all its
+    candidates."""
+    return tuple((g, strand_map(g)) for g in find_symmetries(design).generators())
+
+
+def _perfect(
+    actions: tuple[tuple[Isometry, StrandMap], ...], striping: Striping
+) -> ColouringReport:
+    """``is_perfect`` on the generators' strand actions (``_generator_actions``)."""
+    perms = []
+    for g, smap in actions:
+        if g.point is PointPart.IDENTITY and g.shift == (0, 0):
+            perms.append((g, tuple(range(striping.colours))))
+            continue
+        perm, conflict = _transport(striping, g, smap)
+        if perm is None:
+            return ColouringReport(False, conflict, ())
+        perms.append((g, perm))
+    return ColouringReport(True, None, tuple(perms))
 
 
 def is_perfect(design: Design, striping: Striping) -> ColouringReport:
@@ -296,17 +320,7 @@ def is_perfect(design: Design, striping: Striping) -> ColouringReport:
     It suffices to check a generating set: symmetries inducing a palette
     permutation form a subgroup.
     """
-    group = find_symmetries(design)
-    perms = []
-    for g in group.generators():
-        if g.point is PointPart.IDENTITY and g.shift == (0, 0):
-            perms.append((g, tuple(range(striping.colours))))
-            continue
-        perm, conflict = _transport(striping, g)
-        if perm is None:
-            return ColouringReport(False, conflict, ())
-        perms.append((g, perm))
-    return ColouringReport(True, None, tuple(perms))
+    return _perfect(_generator_actions(design), striping)
 
 
 def stripes_preserved(design: Design, striping: Striping) -> bool:
@@ -314,8 +328,8 @@ def stripes_preserved(design: Design, striping: Striping) -> bool:
     stripe boundaries (weaker than perfection: colours may scramble as
     long as the stripe layout survives).  Like the perfection check, it
     scans lcm(len(source), len(image)) strands per direction."""
-    for g in find_symmetries(design).generators():
-        for _, src, coeff, t, img in _strand_actions(striping, g):
+    for _, smap in _generator_actions(design):
+        for _, src, coeff, t, img in _strand_actions(striping, smap):
             ls, li = len(src), len(img)
             for k in range(math.lcm(ls, li)):
                 if src[k % ls] == src[(k + 1) % ls]:
@@ -418,7 +432,10 @@ def search_stripings(
             if colour_sets_relation(s) != relation:
                 continue
             candidates.append(s)
-    found = [s for s in candidates if is_perfect(design, s).perfect]
+    if not candidates:
+        return ()
+    actions = _generator_actions(design)
+    found = [s for s in candidates if _perfect(actions, s).perfect]
     return tuple(sorted(found, key=lambda s: (s.warp_seq, s.weft_seq)))
 
 
@@ -442,12 +459,13 @@ def constructive_placement(design: Design, colours: int) -> tuple[Striping, ...]
     if c % 2 == 0 and not glides_all_mirror_position(design):
         return ()
     group = find_symmetries(design)
+    actions = _generator_actions(design)
     out = []
     for s in twilly_stripings(c):
         pattern = redundancy(s).as_design()
         if not subgroup_check(group, find_symmetries(pattern)):
             continue
-        if is_perfect(design, s).perfect:
+        if _perfect(actions, s).perfect:
             out.append(s)
     return tuple(sorted(out, key=lambda s: (s.warp_seq, s.weft_seq)))
 

@@ -1,5 +1,6 @@
 """Shared test oracles, independent of the library's own group machinery."""
 
+import argparse
 import math
 import random
 from dataclasses import dataclass
@@ -7,7 +8,17 @@ from fractions import Fraction
 
 import numpy as np
 
-from isoweave.colouring import ColouringReport, Conflict, Striping
+from isoweave.cli import (
+    _cmd_analyze,
+    _cmd_check,
+    _cmd_hang,
+    _cmd_place,
+    _cmd_render,
+    _cmd_search,
+    _cmd_torus,
+    _cmd_twill,
+)
+from isoweave.colouring import ColourSetsRelation, ColouringReport, Conflict, Striping
 from isoweave.design import Design, Direction, Strand, reverse
 from isoweave.isometry import Isometry, PointPart, Side, act_on_doubled
 from isoweave.svg import (
@@ -496,3 +507,116 @@ def fraction_axis_overlay(inventory: AxisInventory, win_w: int, win_h: int, px: 
             else:
                 p1, p2 = (value, Fraction(0)), (value - win_h, Fraction(win_h))
             yield _fraction_line(p1, p2, win_h, px, ink, dashed)
+
+
+# -- cli parser ----------------------------------------------------------
+
+
+def _add_design_arg(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument(
+        "--design",
+        default="-",
+        metavar="FILE",
+        help="design file to read ('-' for standard input, the default)",
+    )
+
+
+def _add_out_arg(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--out", metavar="FILE", help="write output here instead of stdout")
+
+
+def full_parser() -> argparse.ArgumentParser:
+    """Reference for the CLI's parser: every subparser built on every
+    call, as ``cli`` did before it built only the named subcommand's.
+    The handlers are the CLI's own, so only parsing is compared."""
+    parser = argparse.ArgumentParser(
+        prog="isoweave",
+        description="analyse doubly periodic weaves, their symmetries, and stripings",
+    )
+    commands = parser.add_subparsers(dest="command", required=True)
+
+    twill_cmd = commands.add_parser("twill", help="write a twill design file")
+    twill_cmd.add_argument("spec", help="run lengths over/under, e.g. 2/1 or 2/1/1/2")
+    _add_out_arg(twill_cmd)
+    twill_cmd.set_defaults(handler=_cmd_twill)
+
+    analyze_cmd = commands.add_parser("analyze", help="full symmetry report")
+    _add_design_arg(analyze_cmd)
+    _add_out_arg(analyze_cmd)
+    analyze_cmd.set_defaults(handler=_cmd_analyze)
+
+    hang_cmd = commands.add_parser("hang", help="does the fabric hang together?")
+    _add_design_arg(hang_cmd)
+    hang_cmd.set_defaults(handler=_cmd_hang)
+
+    check_cmd = commands.add_parser("check", help="check a striping for perfection")
+    _add_design_arg(check_cmd)
+    check_cmd.add_argument(
+        "--striping", required=True, help="e.g. 'c=3 warp=0,1,2 weft=1,2,0'"
+    )
+    _add_out_arg(check_cmd)
+    check_cmd.set_defaults(handler=_cmd_check)
+
+    search_cmd = commands.add_parser("search", help="list perfect stripings")
+    _add_design_arg(search_cmd)
+    search_cmd.add_argument("--colours", type=int, required=True)
+    search_cmd.add_argument(
+        "--mode",
+        choices=[ColourSetsRelation.EQUAL.value, ColourSetsRelation.DISJOINT.value],
+        default=ColourSetsRelation.EQUAL.value,
+        help="warp/weft palettes equal or disjoint (default equal)",
+    )
+    thinness = search_cmd.add_mutually_exclusive_group()
+    thinness.add_argument(
+        "--thin", action="store_true", default=True, help="thin stripes (default)"
+    )
+    thinness.add_argument(
+        "--thick", action="store_true", help="allow repeated colours in a direction"
+    )
+    search_cmd.add_argument(
+        "--max-len", type=int, default=None, help="stripe sequence length cap (thick)"
+    )
+    _add_out_arg(search_cmd)
+    search_cmd.set_defaults(handler=_cmd_search)
+
+    place_cmd = commands.add_parser(
+        "place", help="place stripings constructively, then verify"
+    )
+    _add_design_arg(place_cmd)
+    place_cmd.add_argument("--colours", type=int, required=True)
+    _add_out_arg(place_cmd)
+    place_cmd.set_defaults(handler=_cmd_place)
+
+    torus_cmd = commands.add_parser("torus", help="strand counts on a torus closure")
+    torus_cmd.add_argument(
+        "--basis", required=True, help="diag:P,Q (diagonal units) or square:N"
+    )
+    torus_cmd.add_argument("--mult", type=int, default=1, help="scale both vectors")
+    torus_cmd.add_argument("--colours", type=int, required=True)
+    torus_cmd.add_argument(
+        "--design", default=None, metavar="FILE", help="also validate against a design"
+    )
+    torus_cmd.add_argument(
+        "--striping", default=None, help="striping for validation (default: thin identity)"
+    )
+    _add_out_arg(torus_cmd)
+    torus_cmd.set_defaults(handler=_cmd_torus)
+
+    render_cmd = commands.add_parser("render", help="draw an SVG figure")
+    _add_design_arg(render_cmd)
+    render_cmd.add_argument("--striping", default=None, help="colour the figure")
+    render_cmd.add_argument("--axes", action="store_true", help="overlay symmetry axes")
+    render_cmd.add_argument(
+        "--lattice-unit", action="store_true", help="outline one lattice unit"
+    )
+    render_cmd.add_argument(
+        "--side",
+        choices=[face.value for face in Face],
+        default=Face.OBVERSE.value,
+    )
+    render_cmd.add_argument("--cell-px", type=int, default=20)
+    render_cmd.add_argument("--window", default=None, help="window in cells, e.g. 9x6")
+    _add_out_arg(render_cmd)
+    render_cmd.set_defaults(handler=_cmd_render)
+
+    return parser

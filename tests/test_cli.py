@@ -1,15 +1,19 @@
 """Tests for the command-line interface: exit codes, piping, reports."""
 
+import argparse
 import io
 import random
+import sys
 
 import numpy as np
 import pytest
 
 from isoweave.cli import main
 from isoweave.colouring import Striping
-from isoweave.design import Design, parse_design, serialise, twill
+from isoweave.design import Design, ParseError, parse_design, serialise, twill
 from isoweave.svg import render_colouring, render_design
+
+from helpers import full_parser
 
 
 def _run(capsys, argv, stdin=None, monkeypatch=None):
@@ -289,3 +293,76 @@ def test_domain_errors_exit_one(capsys, monkeypatch):
 
     code, _, err = _run(capsys, ["twill", "2/0"])
     assert code == 1 and "error:" in err
+
+
+def _oracle_main(argv):
+    """``main`` as it ran on the full parser."""
+    args = full_parser().parse_args(argv)
+    try:
+        return args.handler(args)
+    except (ParseError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+
+def _outcome(capsys, run, argv):
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_parser_output_matches_the_full_parser_oracle(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("COLUMNS", "80")
+    path = tmp_path / "t21.txt"
+    path.write_text(serialise(twill("2/1")))
+    f = str(path)
+    commands = ("twill", "analyze", "hang", "check", "search", "place", "torus", "render")
+    argvs = [[], ["-h"], ["--help"], ["no-such-command"], ["HANG"], ["--design", f, "hang"]]
+    argvs += [[name, "-h"] for name in commands]
+    argvs += [
+        ["twill"],
+        ["search"],
+        ["check", "--design", f],
+        ["torus", "--colours", "3"],
+        ["search", "--design", f, "--colours", "x"],
+        ["render", "--design", f, "--cell-px", "big"],
+        ["torus", "--basis", "diag:3,15", "--colours", "3", "--mult", "two"],
+        ["search", "--design", f, "--colours", "3", "--mode", "mixed"],
+        ["render", "--design", f, "--side", "left"],
+        ["search", "--design", f, "--colours", "3", "--thin", "--thick"],
+        ["hang", "--design", f, "extra"],
+        ["twill", "2/1", "3/1"],
+        ["hang", "--design", f, "--bogus"],
+        ["render", "--design", f, "--s", "reverse"],
+        ["hang", "--des", f],
+        ["analyze", "--des", f],
+        ["twill", "2/1"],
+        ["hang", "--design", f],
+        ["check", "--design", f, "--striping", "c=3 warp=0,1,2 weft=2,0,1"],
+        ["search", "--design", f, "--colours", "3"],
+        ["place", "--design", f, "--colours", "3"],
+        ["torus", "--basis", "diag:3,15", "--colours", "3"],
+        ["render", "--design", f, "--window", "4x3"],
+        ["analyze", "--design", str(tmp_path / "missing.txt")],
+    ]
+    assert len(argvs) >= 32
+    for argv in argvs:
+        assert _outcome(capsys, main, argv) == _outcome(capsys, _oracle_main, argv), argv
+
+
+def test_named_subcommand_builds_one_subparser(monkeypatch, tmp_path):
+    path = tmp_path / "t21.txt"
+    path.write_text(serialise(twill("2/1")))
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert main(["hang", "--design", str(path)]) == 0
+    assert len(built) <= 2, built

@@ -36,6 +36,7 @@ from isoweave.colouring import (
     twilly_stripings,
     visible,
 )
+from isoweave.isometry import strand_map
 from isoweave.symmetry import find_symmetries
 
 EQ, DIS = ColourSetsRelation.EQUAL, ColourSetsRelation.DISJOINT
@@ -280,6 +281,20 @@ def test_thick_search_contains_thin_results():
     for s in thin:
         assert s in thick
     assert [s for s in thick if is_thin(s)] == list(thin)
+
+
+def test_search_reads_each_strand_map_once(monkeypatch):
+    # thin equal palettes of six colours: 6! = 720 candidates
+    design = twill("3/2/4/1")
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return strand_map(g)
+
+    monkeypatch.setattr("isoweave.colouring.strand_map", counting)
+    search_stripings(design, 6)
+    assert 0 < len(calls) <= len(find_symmetries(design).generators())
 
 
 def test_search_refuses_an_oversized_candidate_space(monkeypatch):
